@@ -1,7 +1,7 @@
 """Explore the feeding/bleeding calculus on hand-picked rule pairs.
 
-Shows the symbolic classifier next to the brute-force witness oracle so
-you can see both agreement and the known divergence cases. Run with:
+Shows the symbolic classifier next to the witness oracle so you can see
+both agreement and the known divergence cases. Run with:
 
     python3 demos/02_relation_calculus.py
 """

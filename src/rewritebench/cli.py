@@ -317,31 +317,38 @@ def _cmd_verify_relations(args) -> int:
         target = "".join(rng.choice(alphabet.symbols) for _ in range(length))
         return RewriteRule(source, target)
 
+    discrepancies = []
     for _ in range(args.pairs):
         p, q = draw(), draw()
         bound = default_oracle_bound(p, q)
-        symbolic = feeds(p, q)
-        witness = oracle_feeds(p, q, bound)
-        if witness is not None and not symbolic:
-            counts["feeds_unsound"] += 1
-        if symbolic and witness is None:
-            counts["feeds_incomplete"] += 1
-        symbolic = bleeds(p, q)
-        witness = oracle_bleeds(p, q, bound)
-        if witness is not None and not symbolic:
-            counts["bleeds_unsound"] += 1
-        if symbolic and witness is None:
-            counts["bleeds_incomplete"] += 1
+        for relation, classify, oracle in (
+            ("feeds", feeds, oracle_feeds),
+            ("bleeds", bleeds, oracle_bleeds),
+        ):
+            symbolic = classify(p, q)
+            witness = oracle(p, q, bound)
+            if (witness is not None) == symbolic:
+                continue
+            kind = f"{relation}_incomplete" if symbolic else f"{relation}_unsound"
+            counts[kind] += 1
+            discrepancies.append({
+                "p": [p.source, p.target],
+                "q": [q.source, q.target],
+                "kind": kind,
+                "witness": witness,
+            })
 
-    total = sum(counts.values())
     print(f"checked {args.pairs} pairs: " + ", ".join(
         f"{k}={v}" for k, v in counts.items()
     ))
-    if total == 0:
+    if discrepancies:
+        print("discrepancies found between symbolic classifier and witness oracle")
+    else:
         print("zero discrepancies")
-        return 0
-    print("discrepancies found between symbolic classifier and witness oracle")
-    return 1
+    print(json.dumps(
+        {"pairs": args.pairs, "counts": counts, "discrepancies": discrepancies}
+    ))
+    return 1 if discrepancies else 0
 
 
 def _cmd_stats(args) -> int:
@@ -439,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser(
         "verify-relations",
         description="Cross-check the symbolic relation classifier against "
-        "the brute-force witness oracles on random rule pairs.",
+        "the witness oracles on random rule pairs; the last stdout line is "
+        "JSON with the counts and every discrepant pair.",
     )
     ver.add_argument("--pairs", type=int, default=10000)
     ver.add_argument("--seed", type=int, required=True,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class EmptySourceError(ValueError):
@@ -51,11 +51,6 @@ class Alphabet:
 # (a..k plus u..z).
 LITE_ALPHABET = Alphabet.from_string("abcdefghijkuvwxyz")
 
-# Full upper/lowercase ASCII letters.
-FULL_ALPHABET = Alphabet.from_string(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-)
-
 
 @dataclass(frozen=True)
 class RewriteRule:
@@ -77,10 +72,6 @@ class RewriteRule:
 
 
 Cascade = tuple[RewriteRule, ...]
-
-
-def make_cascade(rules: Iterable[RewriteRule]) -> Cascade:
-    return tuple(rules)
 
 
 def render_cascade(cascade: Sequence[RewriteRule]) -> str:

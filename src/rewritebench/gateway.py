@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -195,10 +196,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BackendResult:
-    """One raw backend exchange: HTTP status plus decoded JSON payload."""
+    """One raw backend exchange: HTTP status plus decoded JSON payload, and
+    the seconds a rate-limited reply asked the client to wait, if any."""
 
     status_code: int
     payload: dict
+    retry_after: Optional[float] = None
 
 
 class ChatBackend(Protocol):
@@ -235,7 +238,21 @@ class HttpChatBackend:
             payload = resp.json()
         except ValueError:
             payload = {}
-        return BackendResult(status_code=resp.status_code, payload=payload)
+        return BackendResult(
+            status_code=resp.status_code,
+            payload=payload,
+            retry_after=_retry_after_seconds(resp.headers.get("Retry-After")),
+        )
+
+
+def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
+    """The delay of a ``Retry-After`` header in its seconds form; None when
+    the header is absent, an HTTP date, or not a finite delay."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0 <= seconds < math.inf else None
 
 
 class MockChatBackend:
@@ -295,8 +312,10 @@ def chat_send(
 ) -> ChatResponse:
     """One chat-completion exchange with exponential-backoff retries.
 
-    Transient failures (connection errors and 5xx statuses) are retried up
-    to retry_count times; auth failures and malformed envelopes are fatal.
+    Transient failures (connection errors, 5xx statuses and 429 rate
+    limits) are retried up to retry_count times; after a 429 the wait is at
+    least its ``retry_after``. Auth failures and malformed envelopes are
+    fatal.
     """
     body = {
         "model": config.model_id,
@@ -309,9 +328,11 @@ def chat_send(
         body["reasoning_effort"] = config.reasoning_effort
 
     last_error: Optional[str] = None
+    retry_after = 0.0
     for attempt in range(config.retry_count + 1):
         if attempt:
-            sleep(0.5 * 2 ** (attempt - 1))
+            sleep(max(0.5 * 2 ** (attempt - 1), retry_after))
+        retry_after = 0.0
         try:
             result = backend.send(config, body)
         except TransientBackendError as exc:
@@ -319,6 +340,10 @@ def chat_send(
             continue
         if result.status_code >= 500:
             last_error = f"server error {result.status_code}"
+            continue
+        if result.status_code == 429:
+            last_error = "rate limited (429)"
+            retry_after = result.retry_after or 0.0
             continue
         if result.status_code in (401, 403):
             raise TransportError(

@@ -3,18 +3,17 @@
 ``feeds`` is the symbolic classifier (a five-condition disjunction over
 substring/prefix/suffix sets); ``bleeds`` is the same test on the
 reversed first rule. ``oracle_feeds``/``oracle_bleeds`` are independent
-brute-force checkers that search exhaustively for a concrete witness
-string, used to cross-validate the symbolic classifier.
+checkers that find a concrete witness string by an exact bounded search
+over a ``str.replace`` transducer, used to cross-validate the symbolic
+classifier.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Collection, Optional, Sequence
 
-from .core import Cascade, EmptySourceError, RewriteRule, apply_rule, string_sets
+from .core import EmptySourceError, RewriteRule, string_sets
 
 FEEDING = "F"
 BLEEDING = "B"
@@ -185,20 +184,107 @@ def _fresh_symbol(used: set[str]) -> str:
     return chr(code)
 
 
-@lru_cache(maxsize=4096)
-def _candidate_strings(symbols: tuple[str, ...], max_len: int) -> tuple[str, ...]:
-    """All strings over ``symbols`` of length 1..max_len, shortest first and
-    lexicographic within a length."""
-    out: list[str] = []
-    for n in range(1, max_len + 1):
-        out.extend("".join(t) for t in itertools.product(symbols, repeat=n))
-    return tuple(out)
-
-
 def _oracle_alphabet(first: RewriteRule, second: RewriteRule) -> tuple[str, ...]:
     used = set(first.source + first.target + second.source + second.target)
     used.add(_fresh_symbol(used))
     return tuple(sorted(used))
+
+
+def _kmp_step(pattern: str, k: int, c: str) -> int:
+    """The KMP state after reading ``c`` in state ``k``: the length of the
+    longest suffix of ``pattern[:k] + c`` that is a prefix of ``pattern``."""
+    text = pattern[:k] + c
+    for j in range(len(text), 0, -1):
+        if pattern.startswith(text[-j:]):
+            return j
+    return 0
+
+
+def _witness(
+    first: RewriteRule, second: RewriteRule, max_len: int, sign: int
+) -> Optional[str]:
+    """The shortest, then lexicographically first, string of length
+    1..max_len over ``_oracle_alphabet`` on which applying ``first`` changes
+    the occurrence count of ``second.source`` by an amount of sign ``sign``.
+
+    ``str.replace(s, t)`` is a leftmost, non-overlapping rewrite, so it runs
+    as a transducer whose state is the KMP state of ``s``: the pending
+    buffer ``s[:k]``, emitted unchanged once it can no longer start a match
+    and as ``t`` once it completes one (Kaplan & Kay 1994; Mohri & Sproat
+    1996). ``str.count`` is a KMP counter that resets on every hit. A product
+    state is (transducer state, counter on the input, counter on the
+    output); an edge weighs ``sign`` * (output hits - input hits), and the
+    pending buffer is flushed through the output counter at the end.
+
+    ``best[n][i]`` is the largest weight that n more symbols reach from state
+    i, so a witness of length n exists iff ``best[n][start] > 0``; the
+    witness is then spelled greedily, smallest symbol first. The search is
+    exact: it returns what enumerating every string would.
+    """
+    s, t, u = first.source, first.target, second.source
+    alphabet = _oracle_alphabet(first, second)
+    rewrite = []  # per transducer state and symbol: (next state, emitted text)
+    for k in range(len(s)):
+        step = {}
+        for c in alphabet:
+            j = _kmp_step(s, k, c)
+            step[c] = (0, t) if j == len(s) else (j, (s[:k] + c)[: k + 1 - j])
+        rewrite.append(step)
+    count = []  # per counter state and symbol: (next state, hits)
+    for k in range(len(u)):
+        step = {}
+        for c in alphabet:
+            j = _kmp_step(u, k, c)
+            step[c] = (0, 1) if j == len(u) else (j, 0)
+        count.append(step)
+
+    def run(k: int, text: str) -> tuple[int, int]:
+        hits = 0
+        for c in text:
+            k, hit = count[k][c]
+            hits += hit
+        return k, hits
+
+    states = [(0, 0, 0)]
+    index = {states[0]: 0}
+    edges: list[list[tuple[int, int]]] = []
+    flush: list[int] = []
+    for k, k_in, k_out in states:  # grows while it is scanned: a BFS
+        row = []
+        for c in alphabet:
+            k2, emitted = rewrite[k][c]
+            k_in2, hits_in = count[k_in][c]
+            k_out2, hits_out = run(k_out, emitted)
+            nxt = (k2, k_in2, k_out2)
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            row.append((index[nxt], sign * (hits_out - hits_in)))
+        edges.append(row)
+        flush.append(sign * run(k_out, s[:k])[1])
+
+    best = [flush]
+    for n in range(1, max_len + 1):
+        prev = best[-1]
+        cur = [max([w + prev[j] for j, w in row]) for row in edges]
+        best.append(cur)
+        if cur[0] > 0:
+            break
+        if cur == prev:  # a fixed point: every longer row is the same
+            return None
+    else:
+        return None
+
+    out: list[str] = []
+    i, gained = 0, 0
+    for left in range(n - 1, -1, -1):
+        tail = best[left]
+        for c, (j, w) in zip(alphabet, edges[i]):
+            if gained + w + tail[j] > 0:
+                out.append(c)
+                i, gained = j, gained + w
+                break
+    return "".join(out)
 
 
 def oracle_feeds(
@@ -207,9 +293,9 @@ def oracle_feeds(
     """Search for a string on which applying ``first`` strictly increases the
     occurrence count of ``second.source``.
 
-    Enumerates every string up to ``max_len`` over the combined symbols of
-    both rules plus one fresh symbol; returns the shortest (then
-    lexicographically first) witness, or None.
+    Searches every string up to ``max_len`` over the combined symbols of
+    both rules plus one fresh symbol, exactly (see ``_witness``); returns
+    the shortest (then lexicographically first) witness, or None.
     """
     if not second.source:
         raise EmptySourceError("oracle_feeds() requires the second rule's find pattern")
@@ -217,13 +303,7 @@ def oracle_feeds(
         raise ValueError("max_len must be at least 1")
     if not first.source:
         return None
-    pattern = second.source
-    for s in _candidate_strings(_oracle_alphabet(first, second), max_len):
-        if first.source not in s:
-            continue
-        if apply_rule(first, s).count(pattern) > s.count(pattern):
-            return s
-    return None
+    return _witness(first, second, max_len, 1)
 
 
 def oracle_bleeds(
@@ -237,13 +317,7 @@ def oracle_bleeds(
         raise ValueError("max_len must be at least 1")
     if not first.source:
         return None
-    pattern = second.source
-    for s in _candidate_strings(_oracle_alphabet(first, second), max_len):
-        if first.source not in s:
-            continue
-        if apply_rule(first, s).count(pattern) < s.count(pattern):
-            return s
-    return None
+    return _witness(first, second, max_len, -1)
 
 
 def default_oracle_bound(first: RewriteRule, second: RewriteRule) -> int:

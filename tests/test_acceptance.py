@@ -103,7 +103,7 @@ def test_criterion_01_oracle_equivalence(pair_corpus):
         1, ok,
         f"{PAIR_COUNT} pairs in {elapsed:.1f}s; discrepancies {counts} "
         "(set-based classifier vs count-increase oracle diverge by design; "
-        "see decisions ledger)",
+        "see the Testing section of README.md)",
     )
 
 
@@ -267,8 +267,8 @@ def test_criterion_10_permutation_pipeline(lite_dataset):
         10, ok,
         f"{len(perm)} reorder instances, {invariant_failures} invariant "
         f"failures, {uniqueness_failures} uniqueness failures, mean "
-        f"complexity {mean_cx:.2f} (required [10.1, 13.1]; the pinned "
-        "sampler lands ~14.9 — see decisions ledger)",
+        f"complexity {mean_cx:.2f} (required [10.1, 13.1]; see the Testing "
+        "section of README.md)",
     )
 
 

@@ -7,6 +7,8 @@ import pathlib
 import pytest
 
 from rewritebench.cli import dispatch
+from rewritebench.core import RewriteRule, apply_rule
+from rewritebench.relations import default_oracle_bound
 
 
 def run(capsys, *argv):
@@ -242,6 +244,27 @@ class TestVerifyRelations:
         )
         assert code in (0, 1)
         assert "checked 50 pairs" in stdout
+
+    def test_last_line_lists_discrepancies(self, capsys):
+        code, stdout, _ = run(
+            capsys, "verify-relations", "--pairs", "300", "--seed", "0"
+        )
+        summary = json.loads(stdout.strip().splitlines()[-1])
+        assert summary["pairs"] == 300
+        found = summary["discrepancies"]
+        assert found, "300 random pairs should include a known divergence"
+        assert code == 1
+        assert sum(summary["counts"].values()) == len(found)
+        for d in found:
+            p, q = RewriteRule(*d["p"]), RewriteRule(*d["q"])
+            bound = default_oracle_bound(p, q)
+            if d["kind"].endswith("_unsound"):
+                sign = 1 if d["kind"].startswith("feeds") else -1
+                w = d["witness"]
+                assert len(w) <= bound
+                assert sign * (apply_rule(p, w).count(q.source) - w.count(q.source)) > 0
+            else:
+                assert d["witness"] is None
 
     def test_seed_required(self, capsys):
         code, _, err = run(capsys, "verify-relations", "--pairs", "10")

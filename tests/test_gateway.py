@@ -11,6 +11,7 @@ from rewritebench.evaluator import EvalRecord, aggregate_pbe
 from rewritebench.gateway import (
     AttemptLog,
     BackendResult,
+    HttpChatBackend,
     MockChatBackend,
     SolverConfig,
     TransientBackendError,
@@ -133,6 +134,57 @@ class TestChatSend:
             chat_send(
                 "p", self._config(retry_count=2), backend, sleep=lambda _: None
             )
+
+    def test_rate_limit_then_success(self):
+        backend = MockChatBackend(
+            [BackendResult(429, {}), MockChatBackend.ok("fine")]
+        )
+        delays = []
+        resp = chat_send("p", self._config(), backend, sleep=delays.append)
+        assert resp.text == "fine"
+        assert resp.retries_used == 1
+        assert delays == [0.5]
+
+    def test_rate_limit_waits_at_least_retry_after(self):
+        backend = MockChatBackend(
+            [
+                BackendResult(429, {}, retry_after=7.0),
+                BackendResult(429, {}, retry_after=0.2),
+                MockChatBackend.ok("fine"),
+            ]
+        )
+        delays = []
+        resp = chat_send("p", self._config(), backend, sleep=delays.append)
+        assert resp.retries_used == 2
+        assert delays == [7.0, 1.0]  # the larger of Retry-After and backoff
+
+    def test_rate_limit_retries_exhausted(self):
+        backend = MockChatBackend([BackendResult(429, {})])
+        with pytest.raises(TransportError, match="retries exhausted"):
+            chat_send(
+                "p", self._config(retry_count=2), backend, sleep=lambda _: None
+            )
+        assert len(backend.calls) == 3
+
+    @pytest.mark.parametrize(
+        "header, expected",
+        [("12", 12.0), ("0.5", 0.5), (None, None), ("-3", None), ("inf", None),
+         ("nan", None), ("Wed, 21 Oct 2015 07:28:00 GMT", None)],
+    )
+    def test_http_backend_reads_retry_after(self, monkeypatch, header, expected):
+        import requests
+
+        class Response:
+            status_code = 429
+            headers = {} if header is None else {"Retry-After": header}
+
+            def json(self):
+                return {}
+
+        monkeypatch.setattr(requests, "post", lambda *a, **kw: Response())
+        result = HttpChatBackend().send(self._config(), {})
+        assert result.status_code == 429
+        assert result.retry_after == expected
 
     def test_auth_failure_not_retried(self):
         backend = MockChatBackend([BackendResult(401, {})])

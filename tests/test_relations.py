@@ -1,5 +1,6 @@
 """Relation-calculus tests: the symbolic classifier's pinned examples, the
-bleeding reduction, cascade classification, and the witness oracles.
+bleeding reduction, cascade classification, and the witness oracles, which
+must return exactly what an exhaustive enumeration of strings returns.
 
 The full-corpus equivalence between the symbolic classifier and the
 count-based witness oracles is checked in the acceptance suite; the two
@@ -8,6 +9,7 @@ the xfail markers below), so here the oracles are exercised on their
 pinned examples and on the structural properties that do hold exactly.
 """
 
+import itertools
 import random
 
 import pytest
@@ -25,6 +27,7 @@ from rewritebench.relations import (
     feeds,
     oracle_bleeds,
     oracle_feeds,
+    _oracle_alphabet,
 )
 
 rules = st.builds(
@@ -201,6 +204,44 @@ class TestOracles:
             )
 
 
+def enumerate_witness(first, second, max_len, direction):
+    """Reference oracle: try every string up to ``max_len`` over the oracle
+    alphabet, shortest first and lexicographic within a length, and return
+    the first on which applying ``first`` moves the count of
+    ``second.source`` in ``direction`` (+1 feeds, -1 bleeds)."""
+    symbols = _oracle_alphabet(first, second)
+    pattern = second.source
+    for n in range(1, max_len + 1):
+        for chars in itertools.product(symbols, repeat=n):
+            s = "".join(chars)
+            if first.source not in s:
+                continue
+            delta = apply_rule(first, s).count(pattern) - s.count(pattern)
+            if delta * direction > 0:
+                return s
+    return None
+
+
+@st.composite
+def oracle_cases(draw):
+    symbols = draw(st.sampled_from(["a", "ab", "abc", "abcd"]))
+
+    def side(min_size):
+        return draw(st.text(alphabet=symbols, min_size=min_size, max_size=3))
+
+    p = RewriteRule(side(1), side(0))
+    q = RewriteRule(side(1), side(0))
+    return p, q, draw(st.integers(min_value=1, max_value=7))
+
+
+@given(oracle_cases())
+@settings(max_examples=300, deadline=None)
+def test_oracles_match_enumeration(case):
+    p, q, bound = case
+    assert oracle_feeds(p, q, bound) == enumerate_witness(p, q, bound, 1)
+    assert oracle_bleeds(p, q, bound) == enumerate_witness(p, q, bound, -1)
+
+
 def _random_rule(rng):
     return RewriteRule(
         "".join(rng.choice("abc") for _ in range(rng.randint(1, 2))),
@@ -222,3 +263,13 @@ def test_oracle_equivalence_sample():
         bound = default_oracle_bound(p, q)
         assert (oracle_feeds(p, q, bound) is not None) == feeds(p, q)
         assert (oracle_bleeds(p, q, bound) is not None) == bleeds(p, q)
+
+
+def test_oracles_match_enumeration_on_criterion_1_corpus():
+    """The first 300 pairs of the acceptance suite's criterion-1 corpus."""
+    rng = random.Random(0)
+    for _ in range(300):
+        p, q = _random_rule(rng), _random_rule(rng)
+        bound = default_oracle_bound(p, q)
+        assert oracle_feeds(p, q, bound) == enumerate_witness(p, q, bound, 1)
+        assert oracle_bleeds(p, q, bound) == enumerate_witness(p, q, bound, -1)
