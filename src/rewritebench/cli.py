@@ -18,6 +18,13 @@ import sys
 from typing import Optional, Sequence
 
 from .core import Alphabet, RewriteRule
+from .evaluator import (
+    EvalRecord,
+    aggregate_pbe,
+    aggregate_reorder,
+    breakdown_reports,
+    score_attempt,
+)
 from .gateway import (
     HttpChatBackend,
     MockChatBackend,
@@ -160,135 +167,89 @@ def _mock_backend(path: str) -> MockChatBackend:
     return MockChatBackend(script)
 
 
+def _load_task(path: str, kind: str):
+    """The instances of a dataset file of either kind, the ids their attempt
+    logs carry, and the PBE limits to prompt and score them with."""
+    if kind == "pbe":
+        dataset = Dataset.from_dict(_load_json(path))
+        params = dataset.params
+        limits = {
+            "s_max": params.s_max,
+            "L_max": params.L_max,
+            "identity_symbol": params.alphabet.symbols[0],
+        }
+        return dataset.instances, [inst.id for inst in dataset.instances], limits
+    instances = load_perm_dataset(path)
+    return instances, [inst.source_id for inst in instances], {}
+
+
 def _run_solve(args, task_kind: str) -> int:
     config = _solver_config(args)
     backend = _mock_backend(args.mock) if args.mock else HttpChatBackend()
     if not args.mock and not config.endpoint_url:
         raise CliError("an endpoint URL is required unless --mock is given")
-    if task_kind == "pbe":
-        dataset = Dataset.from_dict(_load_json(args.dataset))
-        instances = dataset.instances
-        s_max = dataset.params.s_max
-        L_max = dataset.params.L_max
-        identity = dataset.params.alphabet.symbols[0]
-    else:
-        instances = load_perm_dataset(args.dataset)
-        s_max, L_max, identity = 3, 5, "a"
-    _, logs = solve_dataset(
-        instances, config, backend, task_kind,
-        s_max=s_max, L_max=L_max, identity_symbol=identity,
-    )
+    instances, _, limits = _load_task(args.dataset, task_kind)
+    _, logs = solve_dataset(instances, config, backend, task_kind, **limits)
     persist_attempts(logs, args.out)
     print(f"wrote {len(logs)} attempt logs to {args.out}")
     return 0
 
 
-def _records_from_attempts(dataset: Dataset, attempts_path: str):
-    """Replay persisted attempts: apply the selection rule per instance and
-    return index-aligned (records, selected logs)."""
-    from .evaluator import EvalRecord
+def _scored(kind: str, dataset_path: str, attempts_path: Optional[str],
+            predictions_path: Optional[str] = None) -> list[tuple]:
+    """(instance, eval dict) pairs in dataset order.
 
-    logs = load_attempts(attempts_path)
-    by_instance: dict[str, list] = {}
-    for log in logs:
-        by_instance.setdefault(log.instance_id, []).append(log)
-    records, selected_logs, instances = [], [], []
-    for inst in dataset.instances:
-        inst_logs = sorted(
-            by_instance.get(inst.id, []), key=lambda lg: lg.attempt_index
-        )
-        if not inst_logs:
-            continue
-        chosen = select_attempt(inst_logs, "pbe")
-        if chosen is None or chosen.eval is None:
-            continue
-        records.append(EvalRecord.from_dict(chosen.eval))
-        selected_logs.append(chosen)
-        instances.append(inst)
-    if not records:
-        raise CliError("no scored attempts match the dataset")
-    return records, selected_logs, instances
-
-
-def _cmd_eval(args) -> int:
-    from .evaluator import aggregate_pbe, evaluate_pbe, extract_pbe_prediction, normalize_cascade
-
-    dataset = Dataset.from_dict(_load_json(args.dataset))
-    identity = dataset.params.alphabet.symbols[0]
-    if args.attempts:
-        records, _, _ = _records_from_attempts(dataset, args.attempts)
-    elif args.predictions:
-        preds = _load_json(args.predictions)
-        if not isinstance(preds, dict):
-            raise CliError("predictions file must map instance id to text")
-        records = []
-        for inst in dataset.instances:
-            text = preds.get(inst.id, "")
-            extraction = extract_pbe_prediction(text)
-            normalized = (
-                None
-                if extraction.is_null
-                else normalize_cascade(
-                    extraction.last_cascade,
-                    s_max=dataset.params.s_max,
-                    L_max=dataset.params.L_max,
-                    identity_symbol=identity,
-                )
-            )
-            records.append(
-                evaluate_pbe(inst, normalized, identity_symbol=identity)
-            )
-    else:
-        raise CliError("eval needs --attempts or --predictions")
-    metrics = aggregate_pbe(records)
-    _write_json({"metrics": metrics.to_dict()}, args.out)
-    return 0
-
-
-def _cmd_eval_reorder(args) -> int:
-    from .evaluator import aggregate_reorder, evaluate_reorder, extract_permutation
-
-    instances = load_perm_dataset(args.dataset)
-    if args.attempts:
-        logs = load_attempts(args.attempts)
+    From an attempt log: the selected attempt of each instance that has
+    one, skipping a selection with no eval. From a predictions file (an
+    object mapping instance id to response text, null meaning no
+    response): every instance, scored by ``score_attempt``.
+    """
+    instances, ids, limits = _load_task(dataset_path, kind)
+    pairs = []
+    if attempts_path:
         by_instance: dict[str, list] = {}
-        for log in logs:
+        for log in load_attempts(attempts_path):
             by_instance.setdefault(log.instance_id, []).append(log)
-        results = []
-        for inst in instances:
-            inst_logs = sorted(
-                by_instance.get(inst.source_id, []),
-                key=lambda lg: lg.attempt_index,
-            )
-            if not inst_logs:
-                continue
-            chosen = select_attempt(inst_logs, "reorder")
-            ok = bool(chosen.eval and chosen.eval.get("passed"))
-            results.append((inst, ok))
-    elif args.predictions:
-        preds = _load_json(args.predictions)
-        results = []
-        for inst in instances:
-            perm = extract_permutation(
-                preds.get(inst.source_id, ""), len(inst.scrambled)
-            )
-            results.append((inst, evaluate_reorder(inst, perm)))
+        for inst, inst_id in zip(instances, ids):
+            chosen = select_attempt(by_instance.get(inst_id, ()), kind)
+            if chosen is not None and chosen.eval is not None:
+                pairs.append((inst, chosen.eval))
     else:
-        raise CliError("eval-reorder needs --attempts or --predictions")
-    if not results:
+        preds = _load_json(predictions_path)
+        if not isinstance(preds, dict) or not all(
+            text is None or isinstance(text, str) for text in preds.values()
+        ):
+            raise CliError(
+                f"predictions file {predictions_path} must be a JSON object "
+                "mapping instance id to response text"
+            )
+        for inst, inst_id in zip(instances, ids):
+            eval_dict, _ = score_attempt(inst, preds.get(inst_id), kind, **limits)
+            pairs.append((inst, eval_dict))
+    if not pairs:
         raise CliError("no scored attempts match the dataset")
-    metrics = aggregate_reorder(results)
+    return pairs
+
+
+def _cmd_eval(args, kind: str) -> int:
+    if not (args.attempts or args.predictions):
+        raise CliError(f"{args.command} needs --attempts or --predictions")
+    pairs = _scored(kind, args.dataset, args.attempts, args.predictions)
+    if kind == "pbe":
+        metrics = aggregate_pbe([EvalRecord.from_dict(e) for _, e in pairs])
+    else:
+        metrics = aggregate_reorder(
+            [(inst, bool(e.get("passed"))) for inst, e in pairs]
+        )
     _write_json({"metrics": metrics.to_dict()}, args.out)
     return 0
 
 
 def _cmd_report(args) -> int:
-    from .evaluator import aggregate_pbe, breakdown_reports
-
-    dataset = Dataset.from_dict(_load_json(args.dataset))
-    records, _, instances = _records_from_attempts(dataset, args.attempts)
+    pairs = _scored("pbe", args.dataset, args.attempts)
+    records = [EvalRecord.from_dict(e) for _, e in pairs]
     metrics = aggregate_pbe(records)
-    bundle = breakdown_reports(records, instances)
+    bundle = breakdown_reports(records, [inst for inst, _ in pairs])
     _write_json(
         {
             "metrics": metrics.to_dict(),
@@ -419,21 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSON file of scripted responses (offline)")
         solve.set_defaults(func=lambda a, k=kind: _run_solve(a, k))
 
-    ev = sub.add_parser("eval", description="Score PBE attempts or predictions.")
-    ev.add_argument("--dataset", required=True)
-    ev.add_argument("--attempts")
-    ev.add_argument("--predictions")
-    ev.add_argument("--out")
-    ev.set_defaults(func=_cmd_eval)
-
-    evr = sub.add_parser(
-        "eval-reorder", description="Score reordering attempts or predictions."
-    )
-    evr.add_argument("--dataset", required=True)
-    evr.add_argument("--attempts")
-    evr.add_argument("--predictions")
-    evr.add_argument("--out")
-    evr.set_defaults(func=_cmd_eval_reorder)
+    for name, kind in (("eval", "pbe"), ("eval-reorder", "reorder")):
+        ev = sub.add_parser(
+            name, description=f"Score {kind} attempts or predictions."
+        )
+        ev.add_argument("--dataset", required=True)
+        ev.add_argument("--attempts")
+        ev.add_argument("--predictions")
+        ev.add_argument("--out")
+        ev.set_defaults(func=lambda a, k=kind: _cmd_eval(a, k))
 
     rep = sub.add_parser(
         "report", description="Emit aggregate metrics plus breakdowns."

@@ -168,17 +168,7 @@ class EvalRecord:
     degenerate_denominator: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "passed": self.passed,
-            "edit_sim": self.edit_sim,
-            "valid_rate_contrib": self.valid_rate_contrib,
-            "complexity": self.complexity,
-            "attempt_index": self.attempt_index,
-            "pred_length": self.pred_length,
-            "pred_category": self.pred_category,
-            "degenerate_denominator": self.degenerate_denominator,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalRecord":
@@ -243,16 +233,7 @@ class AggregateMetrics:
     unique_count: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "pass_at_1": self.pass_at_1,
-            "edit_sim": self.edit_sim,
-            "valid_rate": self.valid_rate,
-            "complexity": self.complexity,
-            "acc": self.acc,
-            "uacc": self.uacc,
-            "count": self.count,
-            "unique_count": self.unique_count,
-        }
+        return dict(vars(self))
 
 
 def aggregate_pbe(records: Sequence[EvalRecord]) -> AggregateMetrics:
@@ -314,6 +295,43 @@ def evaluate_reorder(
         return False
     cascade = tuple(instance.scrambled[i] for i in perm)
     return tuple(apply_cascade(cascade, instance.inputs)) == instance.outputs
+
+
+def score_attempt(
+    instance,
+    text: Optional[str],
+    task_kind: str,
+    s_max: int = 3,
+    L_max: int = 5,
+    identity_symbol: str = "a",
+    attempt_index: int = 0,
+) -> tuple[dict, bool]:
+    """Score one response text (None for no response) for either task.
+
+    Returns the eval dict stored in the attempt log and whether a
+    prediction could be extracted. PBE evals are ``EvalRecord`` dicts;
+    reorder evals hold ``passed``, ``perm`` and ``attempt_index``. The
+    limits apply to PBE only.
+    """
+    if task_kind == "pbe":
+        extraction = extract_pbe_prediction(text)
+        normalized = None if extraction.is_null else normalize_cascade(
+            extraction.last_cascade, s_max=s_max, L_max=L_max,
+            identity_symbol=identity_symbol,
+        )
+        record = evaluate_pbe(
+            instance, normalized, identity_symbol=identity_symbol,
+            attempt_index=attempt_index,
+        )
+        return record.to_dict(), normalized is not None
+    if task_kind == "reorder":
+        perm = extract_permutation(text, len(instance.scrambled))
+        passed = evaluate_reorder(instance, perm)
+        return (
+            {"passed": passed, "perm": perm, "attempt_index": attempt_index},
+            perm is not None,
+        )
+    raise ValueError(f"unknown task kind {task_kind!r}")
 
 
 def aggregate_reorder(

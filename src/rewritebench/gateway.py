@@ -17,13 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence
 
-from .evaluator import (
-    EvalRecord,
-    evaluate_pbe,
-    extract_pbe_prediction,
-    extract_permutation,
-    normalize_cascade,
-)
+from .evaluator import score_attempt
 from .permuter import ReorderInstance
 from .proposer import PbeInstance
 
@@ -170,20 +164,7 @@ class SolverConfig:
             raise ValueError("top_p must lie in (0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "endpoint_url": self.endpoint_url,
-            "model_id": self.model_id,
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-            "reasoning_effort": self.reasoning_effort,
-            "sampling_budget": self.sampling_budget,
-            "max_in_flight": self.max_in_flight,
-            "timeout_ms": self.timeout_ms,
-            "retry_count": self.retry_count,
-            "api_key_env": self.api_key_env,
-            "early_stop": self.early_stop,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
@@ -383,16 +364,7 @@ class AttemptLog:
     eval: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "attempt_index": self.attempt_index,
-            "prompt_hash": self.prompt_hash,
-            "raw_text": self.raw_text,
-            "finish_reason": self.finish_reason,
-            "token_usage": self.token_usage,
-            "extracted": self.extracted,
-            "eval": self.eval,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "AttemptLog":
@@ -401,32 +373,6 @@ class AttemptLog:
 
 def prompt_hash(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-
-
-def _score_pbe_attempt(
-    instance: PbeInstance,
-    text: str,
-    s_max: int,
-    L_max: int,
-    identity_symbol: str,
-    attempt_index: int,
-) -> tuple[EvalRecord, bool]:
-    extraction = extract_pbe_prediction(text)
-    if extraction.is_null:
-        record = evaluate_pbe(
-            instance, None, identity_symbol=identity_symbol,
-            attempt_index=attempt_index,
-        )
-        return record, False
-    normalized = normalize_cascade(
-        extraction.last_cascade, s_max=s_max, L_max=L_max,
-        identity_symbol=identity_symbol,
-    )
-    record = evaluate_pbe(
-        instance, normalized, identity_symbol=identity_symbol,
-        attempt_index=attempt_index,
-    )
-    return record, True
 
 
 def solve_with_budget(
@@ -442,16 +388,17 @@ def solve_with_budget(
     """Run the sampling budget for one instance and pick the best attempt.
 
     All K attempts are issued unless early_stop ends the loop at the first
-    pass. Selection for PBE: first passing attempt, else highest edit
-    similarity (ties to the lowest index). For reordering: first correct,
-    else first non-null.
+    pass. Each response is scored by ``score_attempt`` and the selection
+    rule is ``select_attempt``'s.
     """
-    if task_kind not in ("pbe", "reorder"):
-        raise ValueError(f"unknown task kind {task_kind!r}")
     if task_kind == "pbe":
         prompt = render_pbe_prompt(instance, s_max=s_max, L_max=L_max)
-    else:
+        instance_id = instance.id
+    elif task_kind == "reorder":
         prompt = render_reorder_prompt(instance)
+        instance_id = instance.source_id
+    else:
+        raise ValueError(f"unknown task kind {task_kind!r}")
     phash = prompt_hash(prompt)
 
     logs: list[AttemptLog] = []
@@ -463,25 +410,12 @@ def solve_with_budget(
             usage = response.token_usage
         except TransportError:
             text, finish, usage = None, "transport_error", {}
-
-        if task_kind == "pbe":
-            record, extracted = _score_pbe_attempt(
-                instance, text or "", s_max, L_max, identity_symbol, k
-            )
-            eval_dict = record.to_dict()
-            passed = record.passed
-        else:
-            perm = extract_permutation(text or "", len(instance.scrambled))
-            from .evaluator import evaluate_reorder
-
-            passed = evaluate_reorder(instance, perm)
-            extracted = perm is not None
-            eval_dict = {"passed": passed, "perm": perm, "attempt_index": k}
+        eval_dict, extracted = score_attempt(
+            instance, text, task_kind, s_max, L_max, identity_symbol, k
+        )
         logs.append(
             AttemptLog(
-                instance_id=(
-                    instance.id if task_kind == "pbe" else instance.source_id
-                ),
+                instance_id=instance_id,
                 attempt_index=k,
                 prompt_hash=phash,
                 raw_text=text,
@@ -491,7 +425,7 @@ def solve_with_budget(
                 eval=eval_dict,
             )
         )
-        if passed and config.early_stop:
+        if eval_dict["passed"] and config.early_stop:
             break
 
     selected = select_attempt(logs, task_kind)
@@ -499,27 +433,31 @@ def solve_with_budget(
 
 
 def select_attempt(logs: Sequence[AttemptLog], task_kind: str) -> Optional[AttemptLog]:
-    """Apply the selection rule to a set of scored attempt logs."""
-    if not logs:
-        return None
+    """Apply the selection rule to a set of scored attempt logs.
+
+    The passing attempt with the lowest index wins. Without one, the
+    attempt with the highest edit similarity (PBE) or with an extracted
+    answer (reorder) wins, ties going to the lowest index; a PBE log with
+    no eval ranks below every scored one. The result does not depend on
+    the order of ``logs``.
+    """
+    best = None
+    for log in logs:
+        if log.eval and log.eval.get("passed") and (
+            best is None or log.attempt_index < best.attempt_index
+        ):
+            best = log
+    if best is not None or not logs:
+        return best
     if task_kind == "pbe":
-        for log in logs:
-            if log.eval and log.eval.get("passed"):
-                return log
         return max(
             logs,
             key=lambda lg: (
-                lg.eval.get("edit_sim", float("-inf")) if lg.eval else float("-inf"),
+                lg.eval.get("edit_sim", -math.inf) if lg.eval else -math.inf,
                 -lg.attempt_index,
             ),
         )
-    for log in logs:
-        if log.eval and log.eval.get("passed"):
-            return log
-    for log in logs:
-        if log.extracted:
-            return log
-    return logs[0]
+    return max(logs, key=lambda lg: (lg.extracted, -lg.attempt_index))
 
 
 def solve_dataset(
@@ -544,11 +482,8 @@ def solve_dataset(
             identity_symbol=identity_symbol, sleep=sleep,
         )
 
-    if config.max_in_flight == 1:
-        results = [work(inst) for inst in instances]
-    else:
-        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            results = list(pool.map(work, instances))
+    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
+        results = list(pool.map(work, instances))
     selected = [sel for sel, _ in results]
     all_logs = [log for _, logs in results for log in logs]
     return selected, all_logs

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Collection, Optional, Sequence
 
@@ -109,12 +109,7 @@ class GeneratorParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorParams":
-        known = {
-            "n", "alphabet", "l_min", "l_max", "L_min", "L_max",
-            "s_min", "s_max", "t_min", "D", "tau", "seed", "quota_mode",
-            "post_patience_policy",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown generator keys: {sorted(unknown)}")
         kwargs = dict(data)
@@ -195,11 +190,7 @@ class GenerationStats:
     patience_exhausted: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "attempts": self.attempts,
-            "acceptances": self.acceptances,
-            "patience_exhausted": self.patience_exhausted,
-        }
+        return dict(vars(self))
 
 
 @dataclass

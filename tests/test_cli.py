@@ -236,6 +236,51 @@ class TestSolveEvalReport:
         metrics = json.loads(out.read_text())["metrics"]
         assert metrics["acc"] == 1.0
 
+    @pytest.fixture
+    def datasets(self, small_dataset, tmp_path, capsys):
+        """Dataset paths of the two eval commands."""
+        perm = tmp_path / "perm.json"
+        assert run(capsys, "perm", "--dataset", str(small_dataset),
+                   "--out", str(perm))[0] == 0
+        return {"eval": small_dataset, "eval-reorder": perm}
+
+    @pytest.mark.parametrize("command", ["eval", "eval-reorder"])
+    @pytest.mark.parametrize("preds", [["text"], {"inst-00000": 5}])
+    def test_malformed_predictions_exit_1(
+        self, datasets, tmp_path, capsys, command, preds
+    ):
+        pred_file = tmp_path / "preds.json"
+        pred_file.write_text(json.dumps(preds))
+        code, _, err = run(
+            capsys, command, "--dataset", str(datasets[command]),
+            "--predictions", str(pred_file),
+        )
+        assert code == 1, err
+        assert "must be a JSON object" in err
+
+    @pytest.mark.parametrize("command, kind", [("eval", "solve"),
+                                               ("eval-reorder", "solve-reorder")])
+    def test_selected_log_without_eval_is_skipped(
+        self, datasets, tmp_path, capsys, command, kind
+    ):
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(["no answer"]))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, kind, "--dataset", str(datasets[command]),
+            "--out", str(attempts), "--mock", str(mock),
+        )
+        assert code == 0, err
+        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
+        logs[0]["eval"] = None
+        attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
+        code, out, err = run(
+            capsys, command, "--dataset", str(datasets[command]),
+            "--attempts", str(attempts),
+        )
+        assert code == 0, err
+        assert json.loads(out)["metrics"]["count"] == len(logs) - 1
+
 
 class TestVerifyRelations:
     def test_small_run_reports_counts(self, capsys):

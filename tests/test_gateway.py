@@ -5,9 +5,10 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rewritebench.core import RewriteRule, apply_cascade
-from rewritebench.evaluator import EvalRecord, aggregate_pbe
+from rewritebench.evaluator import EvalRecord, aggregate_pbe, score_attempt
 from rewritebench.gateway import (
     AttemptLog,
     BackendResult,
@@ -297,6 +298,84 @@ class TestSolveWithBudget:
             solve_with_budget(
                 GOLDEN_PBE, SolverConfig(), MockChatBackend(["x"]), "riddle"
             )
+
+    @pytest.mark.parametrize("kind, inst, texts", [
+        ("pbe", make_instance([("ab", "bc")], ["abab"]), [
+            "```python\n[\"replace('ab','bb')\"]\n```",
+            "```python\n[\"replace('ab','bc')\", \"replace('abcd','x')\"]\n```",
+            "no block here",
+        ]),
+        ("reorder", GOLDEN_REORDER, [
+            "```json\n[0,1]\n```", "```json\n[1,0]\n```", "no block here",
+        ]),
+    ])
+    def test_logged_eval_is_score_attempt(self, kind, inst, texts):
+        backend = MockChatBackend(texts + [BackendResult(500, {})])
+        config = SolverConfig(sampling_budget=4, retry_count=0)
+        _, logs = solve_with_budget(
+            inst, config, backend, kind, s_max=3, L_max=5,
+            identity_symbol="a", sleep=lambda _: None,
+        )
+        assert [lg.raw_text for lg in logs] == texts + [None]
+        for lg in logs:
+            assert score_attempt(
+                inst, lg.raw_text, kind, 3, 5, "a", lg.attempt_index
+            ) == (lg.eval, lg.extracted)
+
+
+def reference_select(logs, task_kind):
+    """The selection as two separate rules over logs sorted by attempt
+    index: PBE takes the first pass, else the highest edit similarity;
+    reorder the first pass, else the first extracted, else the first."""
+    logs = sorted(logs, key=lambda lg: lg.attempt_index)
+    if not logs:
+        return None
+    for log in logs:
+        if log.eval and log.eval.get("passed"):
+            return log
+    if task_kind == "pbe":
+        return max(
+            logs,
+            key=lambda lg: (
+                lg.eval.get("edit_sim", float("-inf")) if lg.eval else float("-inf"),
+                -lg.attempt_index,
+            ),
+        )
+    for log in logs:
+        if log.extracted:
+            return log
+    return logs[0]
+
+
+_evals = st.one_of(
+    st.none(),
+    st.just({}),
+    st.fixed_dictionaries({"passed": st.booleans()}),
+    st.fixed_dictionaries({
+        "passed": st.booleans(),
+        "edit_sim": st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0]),
+    }),
+)
+_logs = st.lists(
+    st.builds(
+        AttemptLog,
+        instance_id=st.just("inst"),
+        attempt_index=st.integers(0, 9),
+        prompt_hash=st.just(""),
+        raw_text=st.none(),
+        finish_reason=st.just("stop"),
+        extracted=st.booleans(),
+        eval=_evals,
+    ),
+    max_size=6,
+    unique_by=lambda lg: lg.attempt_index,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(logs=_logs, task_kind=st.sampled_from(["pbe", "reorder"]))
+def test_select_attempt_matches_reference_in_any_order(logs, task_kind):
+    assert select_attempt(logs, task_kind) is reference_select(logs, task_kind)
 
 
 class TestPersistence:
