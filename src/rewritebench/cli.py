@@ -35,11 +35,7 @@ from .gateway import (
     select_attempt,
     solve_dataset,
 )
-from .permuter import (
-    build_perm_dataset,
-    load_perm_dataset,
-    save_perm_dataset,
-)
+from .permuter import ReorderInstance, build_perm_dataset, save_perm_dataset
 from .proposer import (
     Dataset,
     GeneratorParams,
@@ -124,7 +120,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_perm(args) -> int:
-    dataset = Dataset.from_dict(_load_json(args.dataset))
+    dataset = Dataset.from_dict(
+        _load_dataset_json(args.dataset, "pbe", args.command)
+    )
     instances = build_perm_dataset(dataset, order_count_cap=args.cap)
     save_perm_dataset(instances, args.out)
     unique = sum(1 for r in instances if r.is_unique)
@@ -167,11 +165,37 @@ def _mock_backend(path: str) -> MockChatBackend:
     return MockChatBackend(script)
 
 
-def _load_task(path: str, kind: str):
+# What each dataset kind is called, and the commands that take it.
+_DATASET_KINDS = {
+    "pbe": ("a PBE dataset (written by gen)",
+            "solve, eval, report, perm and stats"),
+    "reorder": ("a reorder dataset (written by perm)",
+                "solve-reorder and eval-reorder"),
+}
+
+
+def _load_dataset_json(path: str, kind: str, command: str) -> dict:
+    """The JSON of a dataset file, checked to be of the kind ``command``
+    takes: a PBE dataset has ``params``, a reorder dataset has not."""
+    data = _load_json(path)
+    if not isinstance(data, dict) or not isinstance(data.get("instances"), list):
+        raise CliError(f"{path} is not a dataset file")
+    found = "pbe" if "params" in data else "reorder"
+    if found != kind:
+        name, takers = _DATASET_KINDS[found]
+        raise CliError(
+            f"{command} needs {_DATASET_KINDS[kind][0]}, but {path} is "
+            f"{name}, which {takers} take"
+        )
+    return data
+
+
+def _load_task(path: str, kind: str, command: str):
     """The instances of a dataset file of either kind, the ids their attempt
     logs carry, and the PBE limits to prompt and score them with."""
+    data = _load_dataset_json(path, kind, command)
     if kind == "pbe":
-        dataset = Dataset.from_dict(_load_json(path))
+        dataset = Dataset.from_dict(data)
         params = dataset.params
         limits = {
             "s_max": params.s_max,
@@ -179,7 +203,7 @@ def _load_task(path: str, kind: str):
             "identity_symbol": params.alphabet.symbols[0],
         }
         return dataset.instances, [inst.id for inst in dataset.instances], limits
-    instances = load_perm_dataset(path)
+    instances = [ReorderInstance.from_dict(d) for d in data["instances"]]
     return instances, [inst.source_id for inst in instances], {}
 
 
@@ -188,23 +212,25 @@ def _run_solve(args, task_kind: str) -> int:
     backend = _mock_backend(args.mock) if args.mock else HttpChatBackend()
     if not args.mock and not config.endpoint_url:
         raise CliError("an endpoint URL is required unless --mock is given")
-    instances, _, limits = _load_task(args.dataset, task_kind)
+    instances, _, limits = _load_task(args.dataset, task_kind, args.command)
     _, logs = solve_dataset(instances, config, backend, task_kind, **limits)
     persist_attempts(logs, args.out)
     print(f"wrote {len(logs)} attempt logs to {args.out}")
     return 0
 
 
-def _scored(kind: str, dataset_path: str, attempts_path: Optional[str],
+def _scored(kind: str, command: str, dataset_path: str,
+            attempts_path: Optional[str],
             predictions_path: Optional[str] = None) -> list[tuple]:
     """(instance, eval dict) pairs in dataset order.
 
     From an attempt log: the selected attempt of each instance that has
     one, skipping a selection with no eval. From a predictions file (an
     object mapping instance id to response text, null meaning no
-    response): every instance, scored by ``score_attempt``.
+    response): every instance, scored by ``score_attempt``; the file must
+    name at least one instance of the dataset.
     """
-    instances, ids, limits = _load_task(dataset_path, kind)
+    instances, ids, limits = _load_task(dataset_path, kind, command)
     pairs = []
     if attempts_path:
         by_instance: dict[str, list] = {}
@@ -223,6 +249,11 @@ def _scored(kind: str, dataset_path: str, attempts_path: Optional[str],
                 f"predictions file {predictions_path} must be a JSON object "
                 "mapping instance id to response text"
             )
+        if not any(inst_id in preds for inst_id in ids):
+            raise CliError(
+                f"no instance id in predictions file {predictions_path} is in "
+                f"the dataset ({len(preds)} ids in the file)"
+            )
         for inst, inst_id in zip(instances, ids):
             eval_dict, _ = score_attempt(inst, preds.get(inst_id), kind, **limits)
             pairs.append((inst, eval_dict))
@@ -234,7 +265,9 @@ def _scored(kind: str, dataset_path: str, attempts_path: Optional[str],
 def _cmd_eval(args, kind: str) -> int:
     if not (args.attempts or args.predictions):
         raise CliError(f"{args.command} needs --attempts or --predictions")
-    pairs = _scored(kind, args.dataset, args.attempts, args.predictions)
+    pairs = _scored(
+        kind, args.command, args.dataset, args.attempts, args.predictions
+    )
     if kind == "pbe":
         metrics = aggregate_pbe([EvalRecord.from_dict(e) for _, e in pairs])
     else:
@@ -246,7 +279,7 @@ def _cmd_eval(args, kind: str) -> int:
 
 
 def _cmd_report(args) -> int:
-    pairs = _scored("pbe", args.dataset, args.attempts)
+    pairs = _scored("pbe", args.command, args.dataset, args.attempts)
     records = [EvalRecord.from_dict(e) for _, e in pairs]
     metrics = aggregate_pbe(records)
     bundle = breakdown_reports(records, [inst for inst, _ in pairs])
@@ -313,7 +346,9 @@ def _cmd_verify_relations(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    dataset = Dataset.from_dict(_load_json(args.dataset))
+    dataset = Dataset.from_dict(
+        _load_dataset_json(args.dataset, "pbe", args.command)
+    )
     report = kl_balance_report(dataset)
     mean_cx = sum(i.complexity for i in dataset.instances) / len(dataset.instances)
     payload = report.to_dict()

@@ -200,14 +200,17 @@ def evaluate_pbe(
 
     pred_outputs = tuple(apply_cascade(executed, instance.inputs))
     passed = pred_outputs == instance.outputs
-    denom = levenshtein_vec(instance.inputs, instance.outputs)
-    degenerate = denom == 0
-    if degenerate:
-        edit_sim = 1.0 if passed else 0.0
-    else:
-        edit_sim = 1.0 - levenshtein_vec(pred_outputs, instance.outputs) / denom
+    # The inputs are at distance 0 from the outputs exactly when they equal
+    # them, and a passing attempt scores 1.0 whatever the distances are.
+    degenerate = instance.inputs == instance.outputs
     if passed:
         edit_sim = 1.0
+    elif degenerate:
+        edit_sim = 0.0
+    else:
+        edit_sim = 1.0 - levenshtein_vec(
+            pred_outputs, instance.outputs
+        ) / levenshtein_vec(instance.inputs, instance.outputs)
     return EvalRecord(
         instance_id=instance.id,
         passed=passed,

@@ -3,23 +3,22 @@
 A reorder instance is a cascade scrambled by one transposition of a
 feeding- or bleeding-related rule pair, chosen so that the scrambled
 order no longer reproduces the outputs. Recovering the original order
-is then a non-trivial puzzle, and exhaustive permutation enumeration
-decides whether the solution is unique.
+is then a non-trivial puzzle, and an exact count of the orders that
+reproduce the outputs decides whether the solution is unique.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Cascade, RewriteRule, apply_cascade
+from .core import Cascade, RewriteRule, apply_cascade, apply_rule_vec
 from .proposer import Dataset, PbeInstance
 
 
 class CapacityError(ValueError):
-    """Raised when exhaustive order enumeration would exceed the cap."""
+    """Raised when the number of orders to count would exceed the cap."""
 
 
 @dataclass(frozen=True)
@@ -105,27 +104,46 @@ def fb_swap(instance: PbeInstance) -> Optional[ReorderInstance]:
 def count_valid_orders(instance: ReorderInstance, cap: int = 40320) -> int:
     """Number of permutations of the scrambled rules reproducing the outputs.
 
-    Exhaustive, so |scrambled|! must not exceed ``cap``. Always at least 1
-    because gt_order is valid by construction.
+    Exact, and |scrambled|! must not exceed ``cap``. Counts over subsets
+    rather than permutations: the state is (rules not yet applied, current
+    vector), and every order through a state shares its completions, so
+    orders with a common prefix, or prefixes that reach the same vector with
+    the same rules left, are worked out once. Always at least 1 because
+    gt_order is valid by construction.
     """
-    m = len(instance.scrambled)
+    rules = instance.scrambled
+    m = len(rules)
     if math.factorial(m) > cap:
         raise CapacityError(
             f"{m}! = {math.factorial(m)} permutations exceed cap {cap}"
         )
-    count = 0
-    for perm in itertools.permutations(range(m)):
-        cascade = tuple(instance.scrambled[i] for i in perm)
-        if tuple(apply_cascade(cascade, instance.inputs)) == instance.outputs:
-            count += 1
-    return count
+    outputs = list(instance.outputs)
+    memo: dict[tuple, int] = {}
+
+    def completions(left: int, vector: list[str]) -> int:
+        # ``left`` has bit i set while rule i is still to be applied.
+        if not left:
+            return 1 if vector == outputs else 0
+        key = (left, *vector)
+        count = memo.get(key)
+        if count is None:
+            count = 0
+            for i in range(m):
+                if left >> i & 1:
+                    count += completions(
+                        left ^ (1 << i), apply_rule_vec(rules[i], vector)
+                    )
+            memo[key] = count
+        return count
+
+    return completions((1 << m) - 1, list(instance.inputs))
 
 
 def build_perm_dataset(
     dataset: Dataset, order_count_cap: int = 40320
 ) -> list[ReorderInstance]:
     """fb_swap every instance, keep the successes, and annotate uniqueness
-    whenever enumeration fits under the cap."""
+    whenever the order count fits under the cap."""
     if order_count_cap < 1:
         raise ValueError("order_count_cap must be at least 1")
     out: list[ReorderInstance] = []

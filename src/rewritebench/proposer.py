@@ -226,13 +226,45 @@ class Dataset:
             return cls.from_dict(json.load(fh))
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform draw from ``range(n)``, ``n >= 1``.
+
+    Makes exactly the ``getrandbits`` calls of CPython's
+    ``Random._randbelow_with_getrandbits``, which ``choice(seq)`` and
+    ``randint(a, b)`` reach through two more Python frames, so
+    ``seq[_below(getrandbits, len(seq))]`` and
+    ``a + _below(getrandbits, b - a + 1)`` draw what those do and leave the
+    generator in the same state.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _word(getrandbits, symbols: Sequence[str], length: int) -> str:
+    """``length`` i.i.d. uniform symbols: the draws of
+    ``"".join([choice(symbols) for _ in range(length)])`` in one loop."""
+    n = len(symbols)
+    k = n.bit_length()
+    chars = []
+    for _ in range(length):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        chars.append(symbols[r])
+    return "".join(chars)
+
+
 def sample_input_vector(params: GeneratorParams, rng: random.Random) -> list[str]:
     """n strings with uniform lengths in [l_min, l_max] and i.i.d. uniform
     characters."""
     symbols = params.alphabet.symbols
-    choice, randint = rng.choice, rng.randint
+    getrandbits = rng.getrandbits
+    l_min, spread = params.l_min, params.l_max - params.l_min + 1
     return [
-        "".join([choice(symbols) for _ in range(randint(params.l_min, params.l_max))])
+        _word(getrandbits, symbols, l_min + _below(getrandbits, spread))
         for _ in range(params.n)
     ]
 
@@ -248,7 +280,8 @@ def sample_rule(
     (empty when the rule deletes) and i.i.d. uniform characters. Returns
     None when no feasible find-pattern length exists.
     """
-    source_len = rng.randint(params.s_min, params.s_max)
+    getrandbits = rng.getrandbits
+    source_len = params.s_min + _below(getrandbits, params.s_max - params.s_min + 1)
     candidates = substrings_of_length(intermediate, source_len)
     if not candidates:
         feasible = [
@@ -258,13 +291,11 @@ def sample_rule(
         ]
         if not feasible:
             return None
-        source_len = rng.choice(feasible)
+        source_len = feasible[_below(getrandbits, len(feasible))]
         candidates = substrings_of_length(intermediate, source_len)
-    source = rng.choice(candidates)
-    target_len = rng.randint(params.t_min, params.s_max)
-    symbols = params.alphabet.symbols
-    target = "".join([rng.choice(symbols) for _ in range(target_len)])
-    return RewriteRule(source, target)
+    source = candidates[_below(getrandbits, len(candidates))]
+    target_len = params.t_min + _below(getrandbits, params.s_max - params.t_min + 1)
+    return RewriteRule(source, _word(getrandbits, params.alphabet.symbols, target_len))
 
 
 @dataclass(frozen=True)
@@ -295,7 +326,9 @@ def sample_candidate(
     ``allowed``, that includes a cascade whose category can no longer end in
     it (see ``category_of``). The random draws do not depend on ``allowed``.
     """
-    target_length = rng.randint(params.L_min, params.L_max)
+    target_length = params.L_min + _below(
+        rng.getrandbits, params.L_max - params.L_min + 1
+    )
     inputs = sample_input_vector(params, rng)
     intermediate = list(inputs)
     kept: list[RewriteRule] = []

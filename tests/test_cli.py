@@ -281,6 +281,88 @@ class TestSolveEvalReport:
         assert code == 0, err
         assert json.loads(out)["metrics"]["count"] == len(logs) - 1
 
+    @pytest.mark.parametrize("command", ["eval", "eval-reorder"])
+    def test_predictions_matching_no_instance_exit_1(
+        self, datasets, tmp_path, capsys, command
+    ):
+        pred_file = tmp_path / "preds.json"
+        pred_file.write_text(json.dumps({"nope": "x"}))
+        code, out, err = run(
+            capsys, command, "--dataset", str(datasets[command]),
+            "--predictions", str(pred_file),
+        )
+        assert code == 1, err
+        assert out == ""
+        assert "no instance id" in err
+
+    @pytest.mark.parametrize("command", ["eval", "eval-reorder"])
+    def test_partial_predictions_score_missing_ids_as_no_response(
+        self, datasets, tmp_path, capsys, command
+    ):
+        data = json.loads(pathlib.Path(datasets[command]).read_text())
+        pred_file = tmp_path / "preds.json"
+        pred_file.write_text(json.dumps(
+            {data["instances"][0]["id"]: "no answer", "nope": "x"}
+        ))
+        code, out, err = run(
+            capsys, command, "--dataset", str(datasets[command]),
+            "--predictions", str(pred_file),
+        )
+        assert code == 0, err
+        metrics = json.loads(out)["metrics"]
+        assert metrics["count"] == len(data["instances"])
+        assert metrics["pass_at_1" if command == "eval" else "acc"] == 0.0
+
+
+class TestDatasetKind:
+    # Each command with the arguments it needs besides --dataset, and the
+    # dataset kind it takes.
+    COMMANDS = {
+        "solve": ("pbe", ["--mock", "MOCK", "--out", "OUT"]),
+        "eval": ("pbe", ["--predictions", "PREDS"]),
+        "report": ("pbe", ["--attempts", "ATTEMPTS"]),
+        "perm": ("pbe", ["--out", "OUT"]),
+        "stats": ("pbe", []),
+        "solve-reorder": ("reorder", ["--mock", "MOCK", "--out", "OUT"]),
+        "eval-reorder": ("reorder", ["--predictions", "PREDS"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_dataset_of_the_other_kind_exits_1(
+        self, small_dataset, tmp_path, capsys, command
+    ):
+        perm = tmp_path / "perm.json"
+        assert run(capsys, "perm", "--dataset", str(small_dataset),
+                   "--out", str(perm))[0] == 0
+        files = {
+            "MOCK": tmp_path / "mock.json",
+            "PREDS": tmp_path / "preds.json",
+            "ATTEMPTS": tmp_path / "att.jsonl",
+            "OUT": tmp_path / "out.json",
+        }
+        files["MOCK"].write_text(json.dumps(["no answer"]))
+        files["PREDS"].write_text(json.dumps({"inst-00000": "no answer"}))
+        files["ATTEMPTS"].write_text("")
+        kind, extra = self.COMMANDS[command]
+        wrong = perm if kind == "pbe" else small_dataset
+        code, _, err = run(
+            capsys, command, "--dataset", str(wrong),
+            *[str(files.get(arg, arg)) for arg in extra],
+        )
+        assert code == 1, err
+        expected = "a PBE dataset" if kind == "pbe" else "a reorder dataset"
+        other = "eval-reorder" if kind == "pbe" else "eval, report"
+        assert f"{command} needs {expected}" in err
+        assert other in err
+        assert not files["OUT"].exists()
+
+    def test_file_without_instances_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"metrics": {}}))
+        code, _, err = run(capsys, "stats", "--dataset", str(path))
+        assert code == 1
+        assert "not a dataset file" in err
+
 
 class TestVerifyRelations:
     def test_small_run_reports_counts(self, capsys):

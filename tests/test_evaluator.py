@@ -161,6 +161,21 @@ class TestEvaluatePbe:
         norm = normalize_cascade((RewriteRule("a", "zz"),), 3, 5, "a")
         record = evaluate_pbe(inst, norm)
         assert record.edit_sim == -2.0
+        assert not record.degenerate_denominator
+
+    def test_degenerate_denominator(self):
+        # the cascade leaves the inputs as they are, so the inputs are at
+        # edit distance 0 from the outputs
+        inst = make_instance([("z", "y")], ["ab", "ba"])
+        assert inst.outputs == inst.inputs
+        identity = normalize_cascade((RewriteRule("q", "r"),), 3, 5, "a")
+        passing = evaluate_pbe(inst, identity)
+        assert passing.passed and passing.degenerate_denominator
+        assert passing.edit_sim == 1.0
+        wrong = normalize_cascade((RewriteRule("a", "c"),), 3, 5, "a")
+        failing = evaluate_pbe(inst, wrong)
+        assert not failing.passed and failing.degenerate_denominator
+        assert failing.edit_sim == 0.0
 
     def test_complexity_of_executed_cascade(self):
         inst = make_instance([("a", "b")], ["aa"])

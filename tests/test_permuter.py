@@ -1,9 +1,12 @@
 """Reordering-task tests: fb_swap behaviour, uniqueness counting, and the
 serialized permutation dataset."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rewritebench.core import RewriteRule, apply_cascade
 from rewritebench.permuter import (
@@ -15,7 +18,12 @@ from rewritebench.permuter import (
     load_perm_dataset,
     save_perm_dataset,
 )
-from rewritebench.proposer import Dataset, PbeInstance
+from rewritebench.proposer import (
+    Dataset,
+    PbeInstance,
+    generate_dataset,
+    lite_params,
+)
 from rewritebench.relations import classify_bfcc
 
 
@@ -110,16 +118,45 @@ class TestCountValidOrders:
         inst = make_instance([("a", "bc"), ("bc", "x"), ("x", "ya")], ["aa"])
         reorder = fb_swap(inst)
         assert reorder is not None
-        expected = sum(
-            tuple(
-                apply_cascade(
-                    [reorder.scrambled[i] for i in perm], reorder.inputs
-                )
-            )
-            == reorder.outputs
-            for perm in itertools.permutations(range(len(reorder.scrambled)))
+        assert count_valid_orders(reorder, cap=10_000) == enumerate_orders(reorder)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration_on_random_cascades(self, data):
+        # Deletion rules (empty targets), duplicate rules and commuting
+        # rules (disjoint symbols) all occur among these draws.
+        symbols = data.draw(st.sampled_from(["ab", "abc"]))
+        rule = st.builds(
+            RewriteRule,
+            st.text(symbols, min_size=1, max_size=2),
+            st.text(symbols, max_size=2),
         )
-        assert count_valid_orders(reorder, cap=10_000) == expected
+        rules = data.draw(st.lists(rule, min_size=1, max_size=6))
+        if data.draw(st.booleans()) and len(rules) < 6:
+            rules.append(data.draw(st.sampled_from(rules)))
+        inputs = tuple(data.draw(
+            st.lists(st.text(symbols, max_size=5), min_size=1, max_size=3)
+        ))
+        gt_order = tuple(data.draw(st.permutations(range(len(rules)))))
+        reorder = ReorderInstance(
+            source_id="x",
+            inputs=inputs,
+            outputs=tuple(apply_cascade([rules[i] for i in gt_order], inputs)),
+            scrambled=tuple(rules),
+            gt_order=gt_order,
+        )
+        count = count_valid_orders(reorder)
+        assert count == enumerate_orders(reorder)
+        assert count >= 1
+
+
+def enumerate_orders(reorder):
+    """The reference count: every permutation, replayed from the inputs."""
+    return sum(
+        tuple(apply_cascade([reorder.scrambled[i] for i in perm], reorder.inputs))
+        == reorder.outputs
+        for perm in itertools.permutations(range(len(reorder.scrambled)))
+    )
 
 
 class TestBuildPermDataset:
@@ -162,6 +199,16 @@ class TestBuildPermDataset:
         save_perm_dataset(instances, str(path))
         loaded = load_perm_dataset(str(path))
         assert loaded == instances
+
+    def test_lite_perm_bytes_pinned(self):
+        # The pinned hash is of the perm set the order count gave when it
+        # still enumerated every permutation.
+        dataset = generate_dataset(lite_params(seed=4, D=64, tau=5000))
+        instances = build_perm_dataset(dataset)
+        text = json.dumps([r.to_dict() for r in instances], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "42389ae4511df3f134ecd6202ad31ff85def2f2adf6bb72bab62caf7eda7ba4b"
+        )
 
     def test_cap_below_factorial_leaves_counts_absent(self):
         dataset = self._dataset()

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from rewritebench.core import Alphabet, apply_cascade
 from rewritebench.proposer import (
+    _below,
+    _word,
     Dataset,
     GeneratorParams,
     generate_dataset,
@@ -74,6 +76,44 @@ class TestParams:
         params = GeneratorParams.from_dict(data)
         assert params.t_min == 2
         assert params == tiny_params(s_min=2, s_max=3)
+
+
+class TestDraws:
+    """The generator draws through ``_below`` and ``_word`` instead of
+    ``choice``/``randint``; they must make the same ``getrandbits`` calls,
+    so the stream, and every dataset, stays what it was."""
+
+    @given(
+        seed=st.integers(0, 2**64),
+        size=st.integers(1, 40),
+        lengths=st.lists(st.integers(0, 8), max_size=8),
+    )
+    @settings(max_examples=200)
+    def test_match_choice(self, seed, size, lengths):
+        symbols = tuple(chr(ord("!") + i) for i in range(size))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for length in lengths:
+            assert symbols[_below(ours.getrandbits, size)] == theirs.choice(symbols)
+            assert _word(ours.getrandbits, symbols, length) == "".join(
+                [theirs.choice(symbols) for _ in range(length)]
+            )
+        assert ours.getstate() == theirs.getstate()
+
+    @given(
+        seed=st.integers(0, 2**64),
+        ranges=st.lists(
+            st.tuples(st.integers(-1000, 1000), st.integers(0, 2**70)),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200)
+    def test_match_randint(self, seed, ranges):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for low, width in ranges:
+            assert low + _below(ours.getrandbits, width + 1) == theirs.randint(
+                low, low + width
+            )
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestSampling:
@@ -201,6 +241,15 @@ class TestGenerateDataset:
         assert ds.stats.attempts == 856
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f589d51edfc97ac4c785b7f033b9fbd2808a18b865699b351de12c0b311a5cf6"
+        )
+
+    def test_lite_dataset_bytes_pinned(self):
+        # The pinned hash is of the dataset the generator gave when it still
+        # drew through random.choice/randint.
+        ds = generate_dataset(lite_params(seed=4, D=64, tau=5000))
+        text = json.dumps(ds.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "90a387105388edb5630e45ffd13afa3364888da4699f159306c177283969a147"
         )
 
     def test_lite_generates_deletion_rules(self):
