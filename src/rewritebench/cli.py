@@ -74,6 +74,16 @@ def _load_json(path: str) -> dict:
         raise CliError(f"invalid JSON in {path}: {exc}")
 
 
+def _load_config(path: Optional[str]) -> dict:
+    """The settings of a ``--config`` file, or none without one."""
+    if not path:
+        return {}
+    config = _load_json(path)
+    if not isinstance(config, dict):
+        raise CliError(f"config file {path} must hold a JSON object")
+    return config
+
+
 def _write_json(data: dict, path: Optional[str]) -> None:
     text = json.dumps(data, indent=2) + "\n"
     if path:
@@ -84,7 +94,7 @@ def _write_json(data: dict, path: Optional[str]) -> None:
 
 
 def _generator_params(args) -> GeneratorParams:
-    config = _load_json(args.config) if args.config else {}
+    config = _load_config(args.config)
     if args.preset == "lite":
         base = lite_params(seed=0).to_dict()
         base.update(config)
@@ -120,9 +130,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_perm(args) -> int:
-    dataset = Dataset.from_dict(
-        _load_dataset_json(args.dataset, "pbe", args.command)
-    )
+    dataset = _load_dataset(args.dataset, "pbe", args.command)
     instances = build_perm_dataset(dataset, order_count_cap=args.cap)
     save_perm_dataset(instances, args.out)
     unique = sum(1 for r in instances if r.is_unique)
@@ -134,7 +142,7 @@ def _cmd_perm(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    config = _load_json(args.config) if args.config else {}
+    config = _load_config(args.config)
     if args.endpoint is not None:
         config["endpoint_url"] = args.endpoint
     if args.model_id is not None:
@@ -174,9 +182,10 @@ _DATASET_KINDS = {
 }
 
 
-def _load_dataset_json(path: str, kind: str, command: str) -> dict:
-    """The JSON of a dataset file, checked to be of the kind ``command``
-    takes: a PBE dataset has ``params``, a reorder dataset has not."""
+def _load_dataset(path: str, kind: str, command: str):
+    """A dataset file, checked to be of the kind ``command`` takes, decoded:
+    a PBE dataset (it has ``params``) as a ``Dataset``, a reorder dataset
+    (it has not) as a list of ``ReorderInstance``."""
     data = _load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("instances"), list):
         raise CliError(f"{path} is not a dataset file")
@@ -187,24 +196,27 @@ def _load_dataset_json(path: str, kind: str, command: str) -> dict:
             f"{command} needs {_DATASET_KINDS[kind][0]}, but {path} is "
             f"{name}, which {takers} take"
         )
-    return data
+    try:
+        if kind == "pbe":
+            return Dataset.from_dict(data)
+        return [ReorderInstance.from_dict(d) for d in data["instances"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"malformed dataset file {path}: {exc!r}")
 
 
 def _load_task(path: str, kind: str, command: str):
     """The instances of a dataset file of either kind, the ids their attempt
     logs carry, and the PBE limits to prompt and score them with."""
-    data = _load_dataset_json(path, kind, command)
+    loaded = _load_dataset(path, kind, command)
     if kind == "pbe":
-        dataset = Dataset.from_dict(data)
-        params = dataset.params
+        params = loaded.params
         limits = {
             "s_max": params.s_max,
             "L_max": params.L_max,
             "identity_symbol": params.alphabet.symbols[0],
         }
-        return dataset.instances, [inst.id for inst in dataset.instances], limits
-    instances = [ReorderInstance.from_dict(d) for d in data["instances"]]
-    return instances, [inst.source_id for inst in instances], {}
+        return loaded.instances, [inst.id for inst in loaded.instances], limits
+    return loaded, [inst.source_id for inst in loaded], {}
 
 
 def _run_solve(args, task_kind: str) -> int:
@@ -346,9 +358,7 @@ def _cmd_verify_relations(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    dataset = Dataset.from_dict(
-        _load_dataset_json(args.dataset, "pbe", args.command)
-    )
+    dataset = _load_dataset(args.dataset, "pbe", args.command)
     report = kl_balance_report(dataset)
     mean_cx = sum(i.complexity for i in dataset.instances) / len(dataset.instances)
     payload = report.to_dict()
@@ -462,10 +472,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CliError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TransportError as exc:

@@ -78,6 +78,16 @@ def render_cascade(cascade: Sequence[RewriteRule]) -> str:
     return "[" + ", ".join(r.render() for r in cascade) + "]"
 
 
+def encode_rules(rules: Sequence[RewriteRule]) -> list[dict]:
+    """The dataset-file form of a rule list: ``{"find", "replace"}`` objects."""
+    return [{"find": r.source, "replace": r.target} for r in rules]
+
+
+def decode_rules(items: Sequence[dict]) -> Cascade:
+    """The inverse of ``encode_rules``."""
+    return tuple(RewriteRule(p["find"], p["replace"]) for p in items)
+
+
 def apply_rule(rule: RewriteRule, s: str) -> str:
     """Apply one rule to one string.
 

@@ -296,7 +296,7 @@ def evaluate_reorder(
     """Functional correctness: any order reproducing the outputs counts."""
     if perm is None:
         return False
-    cascade = tuple(instance.scrambled[i] for i in perm)
+    cascade = instance.reordered(perm)
     return tuple(apply_cascade(cascade, instance.inputs)) == instance.outputs
 
 

@@ -9,11 +9,12 @@ reproduce the outputs decides whether the solution is unique.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import Cascade, RewriteRule, apply_cascade, apply_rule_vec
+from .core import Cascade, apply_cascade, apply_rule_vec, decode_rules, encode_rules
 from .proposer import Dataset, PbeInstance
 
 
@@ -46,9 +47,7 @@ class ReorderInstance:
             "id": self.source_id,
             "inputs": list(self.inputs),
             "outputs": list(self.outputs),
-            "scrambled_programs": [
-                {"find": r.source, "replace": r.target} for r in self.scrambled
-            ],
+            "scrambled_programs": encode_rules(self.scrambled),
             "gt_order": list(self.gt_order),
             "n_valid_orders": self.n_valid_orders,
             "is_unique": self.is_unique,
@@ -60,10 +59,7 @@ class ReorderInstance:
             source_id=data["id"],
             inputs=tuple(data["inputs"]),
             outputs=tuple(data["outputs"]),
-            scrambled=tuple(
-                RewriteRule(p["find"], p["replace"])
-                for p in data["scrambled_programs"]
-            ),
+            scrambled=decode_rules(data["scrambled_programs"]),
             gt_order=tuple(data["gt_order"]),
             n_valid_orders=data.get("n_valid_orders"),
             is_unique=data.get("is_unique", False),
@@ -151,33 +147,22 @@ def build_perm_dataset(
         reorder = fb_swap(inst)
         if reorder is None:
             continue
-        m = len(reorder.scrambled)
-        if math.factorial(m) <= order_count_cap:
+        try:
             n = count_valid_orders(reorder, cap=order_count_cap)
-            reorder = ReorderInstance(
-                source_id=reorder.source_id,
-                inputs=reorder.inputs,
-                outputs=reorder.outputs,
-                scrambled=reorder.scrambled,
-                gt_order=reorder.gt_order,
-                n_valid_orders=n,
-                is_unique=(n == 1),
-            )
+            reorder = replace(reorder, n_valid_orders=n, is_unique=(n == 1))
+        except CapacityError:
+            pass  # too many orders to count: uniqueness stays unknown
         out.append(reorder)
     return out
 
 
 def save_perm_dataset(instances: list[ReorderInstance], path: str) -> None:
-    import json
-
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"instances": [r.to_dict() for r in instances]}, fh, indent=2)
         fh.write("\n")
 
 
 def load_perm_dataset(path: str) -> list[ReorderInstance]:
-    import json
-
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     return [ReorderInstance.from_dict(d) for d in data["instances"]]

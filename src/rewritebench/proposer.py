@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
 from typing import Collection, Optional, Sequence
 
 from .core import (
@@ -20,7 +19,8 @@ from .core import (
     Cascade,
     RewriteRule,
     apply_rule_vec,
-    render_cascade,
+    decode_rules,
+    encode_rules,
     substrings_of_length,
 )
 from .relations import (
@@ -151,19 +151,16 @@ class PbeInstance:
         return sum(len(r.source) + len(r.target) for r in self.cascade)
 
     def dedup_signature(self) -> tuple:
-        return (
-            self.inputs,
-            self.outputs,
-            render_cascade(self.cascade),
-            len(self.cascade),
-        )
+        """What makes two instances the same problem: inputs, outputs and
+        the exact cascade (rules compare by their find and replace text)."""
+        return (self.inputs, self.outputs, self.cascade)
 
     def to_dict(self) -> dict:
         return {
             "id": self.id,
             "inputs": list(self.inputs),
             "outputs": list(self.outputs),
-            "programs": [{"find": r.source, "replace": r.target} for r in self.cascade],
+            "programs": encode_rules(self.cascade),
             "cascade_length": len(self.cascade),
             "category": self.category.render(),
             "fb_edges": [[e.i, e.kind, e.j] for e in self.fb_edges],
@@ -174,9 +171,7 @@ class PbeInstance:
         return cls(
             id=data["id"],
             inputs=tuple(data["inputs"]),
-            cascade=tuple(
-                RewriteRule(p["find"], p["replace"]) for p in data["programs"]
-            ),
+            cascade=decode_rules(data["programs"]),
             outputs=tuple(data["outputs"]),
             category=CategoryString.parse(data["category"]),
             fb_edges=tuple(RelationEdge(i, k, j) for i, k, j in data["fb_edges"]),
@@ -298,33 +293,19 @@ def sample_rule(
     return RewriteRule(source, _word(getrandbits, params.alphabet.symbols, target_len))
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """An accepted-or-not sample before id assignment.
-
-    Its relation edges are computed on first access, since most candidates
-    are rejected on their category alone.
-    """
-
-    inputs: tuple[str, ...]
-    cascade: Cascade
-    outputs: tuple[str, ...]
-    category: CategoryString
-
-    @cached_property
-    def fb_edges(self) -> tuple[RelationEdge, ...]:
-        return tuple(classify_bfcc(self.cascade)[1])
-
-
 def sample_candidate(
     params: GeneratorParams,
     rng: random.Random,
     allowed: Optional[Collection[str]] = None,
-) -> Optional[Candidate]:
+) -> Optional[PbeInstance]:
     """One full sampling iteration: inputs, a target-length cascade pruned to
     its effective rules, and classification. None encodes rejection; with
     ``allowed``, that includes a cascade whose category can no longer end in
     it (see ``category_of``). The random draws do not depend on ``allowed``.
+
+    The instance has an empty ``id`` and no ``fb_edges``: most candidates
+    are rejected on their category alone, so ``generate_dataset`` fills both
+    on acceptance.
     """
     target_length = params.L_min + _below(
         rng.getrandbits, params.L_max - params.L_min + 1
@@ -345,11 +326,13 @@ def sample_candidate(
     category = category_of(kept, allowed)
     if category is None:
         return None
-    return Candidate(
+    return PbeInstance(
+        id="",
         inputs=tuple(inputs),
         cascade=tuple(kept),
         outputs=tuple(intermediate),
         category=category,
+        fb_edges=(),
     )
 
 
@@ -389,12 +372,7 @@ def generate_dataset(params: GeneratorParams) -> Dataset:
         )
         if candidate is None:
             continue
-        signature = (
-            candidate.inputs,
-            candidate.outputs,
-            render_cascade(candidate.cascade),
-            len(candidate.cascade),
-        )
+        signature = candidate.dedup_signature()
         if signature in seen:
             continue
         cat = candidate.category.render()
@@ -413,15 +391,11 @@ def generate_dataset(params: GeneratorParams) -> Dataset:
             ):
                 continue
 
-        instance = PbeInstance(
+        instances.append(replace(
+            candidate,
             id=f"inst-{len(instances):05d}",
-            inputs=candidate.inputs,
-            cascade=candidate.cascade,
-            outputs=candidate.outputs,
-            category=candidate.category,
-            fb_edges=candidate.fb_edges,
-        )
-        instances.append(instance)
+            fb_edges=tuple(classify_bfcc(candidate.cascade)[1]),
+        ))
         seen.add(signature)
         cat_counts[cat] += 1
         len_counts[length] += 1

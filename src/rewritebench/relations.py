@@ -108,10 +108,10 @@ def bleeds(first: RewriteRule, second: RewriteRule) -> bool:
 def classify_bfcc(cascade: Sequence[RewriteRule]) -> tuple[CategoryString, list[RelationEdge]]:
     """Classify every ordered rule pair of a cascade and derive its category.
 
-    Edges are produced row-major over ordered pairs (i, then j); an edge with
-    i < j sets the forward bit, i > j the counter bit.
+    Edges are produced row-major over ordered pairs (i, then j); the
+    category holds a bit per edge kind and direction: an edge with i < j
+    sets the forward bit, i > j the counter bit.
     """
-    f = b = cf = cb = False
     edges: list[RelationEdge] = []
     m = len(cascade)
     if m > 1 and not all(rule.source for rule in cascade):
@@ -124,17 +124,15 @@ def classify_bfcc(cascade: Sequence[RewriteRule]) -> tuple[CategoryString, list[
             s_j = second.source
             if _creates_sites(s_i, t_i, s_j):
                 edges.append(RelationEdge(i, FEEDING, j))
-                if i < j:
-                    f = True
-                else:
-                    cf = True
             if _creates_sites(t_i, s_i, s_j):
                 edges.append(RelationEdge(i, BLEEDING, j))
-                if i < j:
-                    b = True
-                else:
-                    cb = True
-    return CategoryString(f, b, cf, cb), edges
+    present = {(e.kind, e.i < e.j) for e in edges}
+    category = CategoryString(*(
+        (kind, forward) in present
+        for forward in (True, False)
+        for kind in (FEEDING, BLEEDING)
+    ))
+    return category, edges
 
 
 def category_of(

@@ -59,6 +59,16 @@ class TestGen:
         assert code == 1
         assert "bogus_knob" in err
 
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text(json.dumps([1, 2]))
+        code, _, err = run(
+            capsys, "gen", "--out", str(tmp_path / "x.json"), "--seed", "0",
+            "--preset", "lite", "--config", str(config),
+        )
+        assert code == 1, err
+        assert "must hold a JSON object" in err
+
     def test_invalid_params(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "gen", "--out", str(tmp_path / "x.json"), "--seed", "0",
@@ -159,6 +169,21 @@ class TestSolveEvalReport:
         assert metrics["pass_at_1"] == 1.0
         assert metrics["edit_sim"] == 1.0
         assert metrics["valid_rate"] == 1.0
+
+    def test_solver_config_that_is_not_an_object_exits_1(
+        self, small_dataset, tmp_path, capsys
+    ):
+        mock, config = self._gt_mock(small_dataset, tmp_path)
+        config.write_text(json.dumps([1, 2]))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve", "--dataset", str(small_dataset),
+            "--out", str(attempts), "--mock", str(mock),
+            "--config", str(config),
+        )
+        assert code == 1, err
+        assert "must hold a JSON object" in err
+        assert not attempts.exists()
 
     def test_report_bundle(self, small_dataset, tmp_path, capsys):
         mock, config = self._gt_mock(small_dataset, tmp_path)
@@ -327,13 +352,18 @@ class TestDatasetKind:
         "eval-reorder": ("reorder", ["--predictions", "PREDS"]),
     }
 
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_dataset_of_the_other_kind_exits_1(
-        self, small_dataset, tmp_path, capsys, command
-    ):
-        perm = tmp_path / "perm.json"
-        assert run(capsys, "perm", "--dataset", str(small_dataset),
-                   "--out", str(perm))[0] == 0
+    # A record damaged in place, and the command that reads it.
+    MALFORMED = {
+        "missing-inputs": ("stats", lambda d: d["instances"][0].pop("inputs")),
+        "unknown-stats-key": ("stats", lambda d: d["stats"].update(foo=1)),
+        "missing-gt-order": (
+            "eval-reorder", lambda d: d["instances"][0].pop("gt_order")
+        ),
+    }
+
+    def _run(self, capsys, tmp_path, command, dataset):
+        """Run ``command`` on ``dataset`` with the other files it needs;
+        returns the exit code, stderr and the files."""
         files = {
             "MOCK": tmp_path / "mock.json",
             "PREDS": tmp_path / "preds.json",
@@ -343,12 +373,22 @@ class TestDatasetKind:
         files["MOCK"].write_text(json.dumps(["no answer"]))
         files["PREDS"].write_text(json.dumps({"inst-00000": "no answer"}))
         files["ATTEMPTS"].write_text("")
-        kind, extra = self.COMMANDS[command]
-        wrong = perm if kind == "pbe" else small_dataset
         code, _, err = run(
-            capsys, command, "--dataset", str(wrong),
-            *[str(files.get(arg, arg)) for arg in extra],
+            capsys, command, "--dataset", str(dataset),
+            *[str(files.get(arg, arg)) for arg in self.COMMANDS[command][1]],
         )
+        return code, err, files
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_dataset_of_the_other_kind_exits_1(
+        self, small_dataset, tmp_path, capsys, command
+    ):
+        perm = tmp_path / "perm.json"
+        assert run(capsys, "perm", "--dataset", str(small_dataset),
+                   "--out", str(perm))[0] == 0
+        kind = self.COMMANDS[command][0]
+        wrong = perm if kind == "pbe" else small_dataset
+        code, err, files = self._run(capsys, tmp_path, command, wrong)
         assert code == 1, err
         expected = "a PBE dataset" if kind == "pbe" else "a reorder dataset"
         other = "eval-reorder" if kind == "pbe" else "eval, report"
@@ -362,6 +402,24 @@ class TestDatasetKind:
         code, _, err = run(capsys, "stats", "--dataset", str(path))
         assert code == 1
         assert "not a dataset file" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_record_exits_1(
+        self, small_dataset, tmp_path, capsys, case
+    ):
+        command, damage = self.MALFORMED[case]
+        source = small_dataset
+        if self.COMMANDS[command][0] == "reorder":
+            source = tmp_path / "perm.json"
+            assert run(capsys, "perm", "--dataset", str(small_dataset),
+                       "--out", str(source))[0] == 0
+        data = json.loads(source.read_text())
+        damage(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, err, _ = self._run(capsys, tmp_path, command, bad)
+        assert code == 1, err
+        assert f"malformed dataset file {bad}" in err
 
 
 class TestVerifyRelations:

@@ -210,6 +210,21 @@ class TestBuildPermDataset:
             "42389ae4511df3f134ecd6202ad31ff85def2f2adf6bb72bab62caf7eda7ba4b"
         )
 
+    def test_cap_counts_only_cascades_whose_orders_fit(self):
+        # 3! = 6: cascades of up to 3 rules are counted, longer ones not.
+        dataset = generate_dataset(lite_params(seed=4, D=64, tau=5000))
+        instances = build_perm_dataset(dataset, order_count_cap=6)
+        short = [r for r in instances if len(r.scrambled) <= 3]
+        long = [r for r in instances if len(r.scrambled) >= 4]
+        assert short and long
+        for reorder in short:
+            n = reorder.n_valid_orders
+            assert n == count_valid_orders(reorder) >= 1
+            assert reorder.is_unique == (n == 1)
+        for reorder in long:
+            assert reorder.n_valid_orders is None
+            assert reorder.is_unique is False
+
     def test_cap_below_factorial_leaves_counts_absent(self):
         dataset = self._dataset()
         instances = build_perm_dataset(dataset, order_count_cap=1)
