@@ -15,10 +15,12 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from .core import Alphabet, RewriteRule
 from .evaluator import (
+    EVAL_KEYS,
     EvalRecord,
     aggregate_pbe,
     aggregate_reorder,
@@ -93,32 +95,24 @@ def _write_json(data: dict, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _generator_params(args) -> GeneratorParams:
-    config = _load_config(args.config)
-    if args.preset == "lite":
-        base = lite_params(seed=0).to_dict()
-        base.update(config)
-        config = base
-    overrides = {
-        "n": args.n, "l_min": args.l_min, "l_max": args.l_max,
-        "L_min": args.cascade_min, "L_max": args.cascade_max,
-        "s_min": args.s_min, "s_max": args.s_max, "t_min": args.t_min,
-        "D": args.size, "tau": args.tau,
-        "alphabet": args.alphabet, "quota_mode": args.quota_mode,
-        "post_patience_policy": args.post_patience_policy,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    config["seed"] = args.seed
+def _settings(args, cls, base: dict, what: str):
+    """``cls`` built from ``base``, then the ``--config`` file, then the
+    flags given: each flag's ``dest`` is the name of the field it sets."""
+    config = {**base, **_load_config(args.config)}
+    names = {f.name for f in fields(cls)}
+    config.update(
+        (key, value) for key, value in vars(args).items()
+        if key in names and value is not None
+    )
     try:
-        return GeneratorParams.from_dict(config)
+        return cls.from_dict(config)
     except (ValueError, TypeError) as exc:
-        raise CliError(f"invalid generator configuration: {exc}")
+        raise CliError(f"invalid {what} configuration: {exc}")
 
 
 def _cmd_gen(args) -> int:
-    params = _generator_params(args)
+    preset = lite_params(seed=0).to_dict() if args.preset == "lite" else {}
+    params = _settings(args, GeneratorParams, preset, "generator")
     dataset = generate_dataset(params)
     dataset.save(args.out)
     report = kl_balance_report(dataset)
@@ -139,22 +133,6 @@ def _cmd_perm(args) -> int:
         f"({unique} unique-solution)"
     )
     return 0
-
-
-def _solver_config(args) -> SolverConfig:
-    config = _load_config(args.config)
-    if args.endpoint is not None:
-        config["endpoint_url"] = args.endpoint
-    if args.model_id is not None:
-        config["model_id"] = args.model_id
-    if args.api_key_env is not None:
-        config["api_key_env"] = args.api_key_env
-    if args.budget is not None:
-        config["sampling_budget"] = args.budget
-    try:
-        return SolverConfig.from_dict(config)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"invalid solver configuration: {exc}")
 
 
 def _mock_backend(path: str) -> MockChatBackend:
@@ -220,7 +198,7 @@ def _load_task(path: str, kind: str, command: str):
 
 
 def _run_solve(args, task_kind: str) -> int:
-    config = _solver_config(args)
+    config = _settings(args, SolverConfig, {}, "solver")
     backend = _mock_backend(args.mock) if args.mock else HttpChatBackend()
     if not args.mock and not config.endpoint_url:
         raise CliError("an endpoint URL is required unless --mock is given")
@@ -237,8 +215,9 @@ def _scored(kind: str, command: str, dataset_path: str,
     """(instance, eval dict) pairs in dataset order.
 
     From an attempt log: the selected attempt of each instance that has
-    one, skipping a selection with no eval. From a predictions file (an
-    object mapping instance id to response text, null meaning no
+    one, skipping a selection with no eval; an eval not of the shape
+    ``score_attempt`` stores for ``kind`` is an error. From a predictions
+    file (an object mapping instance id to response text, null meaning no
     response): every instance, scored by ``score_attempt``; the file must
     name at least one instance of the dataset.
     """
@@ -250,8 +229,15 @@ def _scored(kind: str, command: str, dataset_path: str,
             by_instance.setdefault(log.instance_id, []).append(log)
         for inst, inst_id in zip(instances, ids):
             chosen = select_attempt(by_instance.get(inst_id, ()), kind)
-            if chosen is not None and chosen.eval is not None:
-                pairs.append((inst, chosen.eval))
+            if chosen is None or chosen.eval is None:
+                continue
+            if chosen.eval.keys() != EVAL_KEYS[kind]:
+                raise CliError(
+                    f"attempts file {attempts_path} does not hold {kind} "
+                    f"attempts: the eval of {inst_id} has keys "
+                    f"{sorted(chosen.eval)}"
+                )
+            pairs.append((inst, chosen.eval))
     else:
         preds = _load_json(predictions_path)
         if not isinstance(preds, dict) or not all(
@@ -384,14 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--alphabet")
     gen.add_argument("--l-min", dest="l_min", type=int)
     gen.add_argument("--l-max", dest="l_max", type=int)
-    gen.add_argument("--cascade-min", dest="cascade_min", type=int)
-    gen.add_argument("--cascade-max", dest="cascade_max", type=int)
+    gen.add_argument("--cascade-min", dest="L_min", type=int)
+    gen.add_argument("--cascade-max", dest="L_max", type=int)
     gen.add_argument("--s-min", dest="s_min", type=int)
     gen.add_argument("--s-max", dest="s_max", type=int)
     gen.add_argument("--t-min", dest="t_min", type=int,
                      help="shortest replacement (default: --s-min; 0 allows "
                           "deletion rules)")
-    gen.add_argument("--size", type=int, help="target dataset size D")
+    gen.add_argument("--size", dest="D", type=int, help="target dataset size D")
     gen.add_argument("--tau", type=int, help="patience budget")
     gen.add_argument("--quota-mode", dest="quota_mode",
                      choices=["category-balanced", "length-balanced", "both"])
@@ -416,11 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
         solve.add_argument("--out", required=True,
                            help="attempt log JSONL (appended)")
         solve.add_argument("--config", help="JSON file of solver settings")
-        solve.add_argument("--endpoint", help="chat-completion endpoint URL")
+        solve.add_argument("--endpoint", dest="endpoint_url",
+                           help="chat-completion endpoint URL")
         solve.add_argument("--model-id", dest="model_id")
         solve.add_argument("--api-key-env", dest="api_key_env",
                            help="environment variable holding the API key")
-        solve.add_argument("--budget", type=int, help="attempts per instance")
+        solve.add_argument("--budget", dest="sampling_budget", type=int,
+                           help="attempts per instance")
         solve.add_argument("--mock",
                            help="JSON file of scripted responses (offline)")
         solve.set_defaults(func=lambda a, k=kind: _run_solve(a, k))

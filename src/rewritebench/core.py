@@ -10,7 +10,6 @@ the behaviour of ``str.replace``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 
@@ -135,7 +134,6 @@ def count_occurrences(pattern: str, s: str) -> int:
     return s.count(pattern)
 
 
-@lru_cache(maxsize=65536)
 def string_sets(s: str) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     """Deduplicated sets of the non-empty substrings, prefixes, and suffixes
     of ``s``.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
@@ -298,6 +298,13 @@ def evaluate_reorder(
         return False
     cascade = instance.reordered(perm)
     return tuple(apply_cascade(cascade, instance.inputs)) == instance.outputs
+
+
+# The keys of the eval dict ``score_attempt`` stores, per task kind.
+EVAL_KEYS = {
+    "pbe": frozenset(f.name for f in fields(EvalRecord)),
+    "reorder": frozenset({"passed", "perm", "attempt_index"}),
+}
 
 
 def score_attempt(

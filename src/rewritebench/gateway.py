@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Protocol, Sequence
 
 from .evaluator import score_attempt
@@ -168,8 +168,7 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
-        known = set(cls().to_dict())
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown solver keys: {sorted(unknown)}")
         return cls(**data)

@@ -61,8 +61,8 @@ class ReorderInstance:
             outputs=tuple(data["outputs"]),
             scrambled=decode_rules(data["scrambled_programs"]),
             gt_order=tuple(data["gt_order"]),
-            n_valid_orders=data.get("n_valid_orders"),
-            is_unique=data.get("is_unique", False),
+            n_valid_orders=data["n_valid_orders"],
+            is_unique=data["is_unique"],
         )
 
 

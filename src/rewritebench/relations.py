@@ -1,8 +1,8 @@
 """Feeding/bleeding relation calculus for rule pairs and whole cascades.
 
-``feeds`` is the symbolic classifier (a five-condition disjunction over
-substring/prefix/suffix sets); ``bleeds`` is the same test on the
-reversed first rule. ``oracle_feeds``/``oracle_bleeds`` are independent
+``feeds`` is the symbolic classifier (substring, prefix and suffix tests
+on the two rules' strings); ``bleeds`` is the same test on the reversed
+first rule. ``oracle_feeds``/``oracle_bleeds`` are independent
 checkers that find a concrete witness string by an exact bounded search
 over a ``str.replace`` transducer, used to cross-validate the symbolic
 classifier.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Optional, Sequence
 
-from .core import EmptySourceError, RewriteRule, string_sets
+from .core import EmptySourceError, RewriteRule
 
 FEEDING = "F"
 BLEEDING = "B"
@@ -65,23 +65,27 @@ def _creates_sites(s_i: str, t_i: str, s_j: str) -> bool:
     """The feeding test on rule sides: can rewriting ``s_i`` to ``t_i``
     create new match sites for the non-empty pattern ``s_j``?
 
-    ``s_i`` may be empty (bleeding tests a deletion rule reversed).
+    ``s_i`` may be empty (bleeding tests a deletion rule reversed). A
+    deletion joins its neighbours, so it feeds any pattern of two or more
+    symbols. A replacement that occurs inside ``s_i`` feeds nothing: every
+    piece of it was already there. Otherwise it feeds when ``t_i`` lies in
+    ``s_j``, when ``s_j`` lies in ``t_i`` but not in ``s_i``, or when a
+    prefix (suffix) of ``t_i`` that does not occur in ``s_i`` ends (starts)
+    ``s_j``. A prefix as long as ``t_i`` or ``s_j`` is one of the first two
+    cases, so only shorter ones are tried.
     """
-    if t_i == "" and len(s_j) > 1:
+    if not t_i:
+        return len(s_j) > 1
+    if t_i in s_i:
+        return False
+    if t_i in s_j or (s_j in t_i and s_j not in s_i):
         return True
-
-    sub_si, _, _ = string_sets(s_i)
-    sub_sj, pref_sj, suff_sj = string_sets(s_j)
-    sub_ti, pref_ti, suff_ti = string_sets(t_i)
-
-    if t_i in sub_sj and t_i not in sub_si:
-        return True
-    if s_j in sub_ti and s_j not in sub_si:
-        return True
-    if (pref_ti - sub_si) & suff_sj:
-        return True
-    if (suff_ti - sub_si) & pref_sj:
-        return True
+    for k in range(1, min(len(t_i), len(s_j))):
+        head, tail = t_i[:k], t_i[-k:]
+        if (s_j.endswith(head) and head not in s_i) or (
+            s_j.startswith(tail) and tail not in s_i
+        ):
+            return True
     return False
 
 

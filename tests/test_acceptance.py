@@ -101,7 +101,7 @@ def test_criterion_01_oracle_equivalence(pair_corpus):
     report(
         1, ok,
         f"{PAIR_COUNT} pairs in {elapsed:.1f}s; discrepancies {counts} "
-        "(set-based classifier vs count-increase oracle diverge by design; "
+        "(symbolic classifier vs count-increase oracle diverge by design; "
         "see the Testing section of README.md)",
     )
 

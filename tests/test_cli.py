@@ -6,8 +6,13 @@ import pathlib
 
 import pytest
 
+from dataclasses import fields
+
+from rewritebench import cli
 from rewritebench.cli import dispatch
 from rewritebench.core import RewriteRule, apply_rule
+from rewritebench.gateway import SolverConfig
+from rewritebench.proposer import GeneratorParams, lite_params
 from rewritebench.relations import default_oracle_bound
 
 
@@ -103,6 +108,37 @@ class TestGen:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
+    # Every gen flag, the field it sets and a value unlike the preset's.
+    FLAGS = {
+        "--n": ("n", 3), "--alphabet": ("alphabet", "abcdefg"),
+        "--l-min": ("l_min", 3), "--l-max": ("l_max", 5),
+        "--cascade-min": ("L_min", 2), "--cascade-max": ("L_max", 3),
+        "--s-min": ("s_min", 1), "--s-max": ("s_max", 2),
+        "--t-min": ("t_min", 1), "--size": ("D", 8), "--tau": ("tau", 200),
+        "--quota-mode": ("quota_mode", "both"),
+        "--post-patience-policy": ("post_patience_policy", "accept-any"),
+        "--seed": ("seed", 4),
+    }
+
+    def test_every_flag_lands_on_its_field_over_config_and_preset(
+        self, tmp_path, capsys
+    ):
+        assert {f for f, _ in self.FLAGS.values()} == {
+            f.name for f in fields(GeneratorParams)
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(lite_params(seed=9, D=5, tau=7).to_dict()))
+        path = tmp_path / "ds.json"
+        argv = [str(a) for flag, (_, value) in self.FLAGS.items()
+                for a in (flag, value)]
+        code, _, err = run(
+            capsys, "gen", "--out", str(path), "--preset", "lite",
+            "--config", str(config), *argv,
+        )
+        assert code == 0, err
+        params = json.loads(path.read_text())["params"]
+        assert params == {f: value for f, value in self.FLAGS.values()}
+
 
 class TestPermAndStats:
     def test_perm(self, small_dataset, tmp_path, capsys):
@@ -184,6 +220,40 @@ class TestSolveEvalReport:
         assert code == 1, err
         assert "must hold a JSON object" in err
         assert not attempts.exists()
+
+    def test_every_flag_lands_on_its_field_over_config(
+        self, small_dataset, tmp_path, capsys, monkeypatch
+    ):
+        flags = {
+            "--endpoint": ("endpoint_url", "http://localhost:1/v1"),
+            "--model-id": ("model_id", "m"),
+            "--api-key-env": ("api_key_env", "KEY_VAR"),
+            "--budget": ("sampling_budget", 3),
+        }
+        mock, config = self._gt_mock(small_dataset, tmp_path)
+        config.write_text(json.dumps({
+            "endpoint_url": "http://localhost:2/v1", "model_id": "other",
+            "api_key_env": "OTHER_VAR", "sampling_budget": 2,
+            "max_in_flight": 1,
+        }))
+        seen = []
+
+        def solve_dataset(instances, config, *args, **kwargs):
+            seen.append(config)
+            return [], []
+
+        monkeypatch.setattr(cli, "solve_dataset", solve_dataset)
+        argv = [str(a) for flag, (_, value) in flags.items()
+                for a in (flag, value)]
+        code, _, err = run(
+            capsys, "solve", "--dataset", str(small_dataset),
+            "--out", str(tmp_path / "att.jsonl"), "--mock", str(mock),
+            "--config", str(config), *argv,
+        )
+        assert code == 0, err
+        assert seen == [SolverConfig(
+            max_in_flight=1, **{f: value for f, value in flags.values()}
+        )]
 
     def test_report_bundle(self, small_dataset, tmp_path, capsys):
         mock, config = self._gt_mock(small_dataset, tmp_path)
@@ -306,6 +376,53 @@ class TestSolveEvalReport:
         assert code == 0, err
         assert json.loads(out)["metrics"]["count"] == len(logs) - 1
 
+    @pytest.mark.parametrize("command, solve", [
+        ("eval", "solve-reorder"), ("report", "solve-reorder"),
+        ("eval-reorder", "solve"),
+    ])
+    def test_attempt_log_of_the_other_kind_exits_1(
+        self, datasets, tmp_path, capsys, command, solve
+    ):
+        """A log whose ids match but whose evals are of the other task: the
+        reorder log of a perm set of the same PBE set, and vice versa."""
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(["no answer"]))
+        attempts = tmp_path / "att.jsonl"
+        log_dataset = datasets["eval" if solve == "solve" else "eval-reorder"]
+        code, _, err = run(
+            capsys, solve, "--dataset", str(log_dataset),
+            "--out", str(attempts), "--mock", str(mock),
+        )
+        assert code == 0, err
+        dataset = datasets["eval-reorder" if command == "eval-reorder" else "eval"]
+        code, out, err = run(
+            capsys, command, "--dataset", str(dataset),
+            "--attempts", str(attempts),
+        )
+        assert code == 1, err
+        assert out == ""
+        assert f"attempts file {attempts}" in err
+
+    def test_eval_with_an_unknown_key_exits_1(self, datasets, tmp_path, capsys):
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(["no answer"]))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve", "--dataset", str(datasets["eval"]),
+            "--out", str(attempts), "--mock", str(mock),
+        )
+        assert code == 0, err
+        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
+        logs[0]["eval"]["bogus"] = 1
+        attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
+        code, _, err = run(
+            capsys, "eval", "--dataset", str(datasets["eval"]),
+            "--attempts", str(attempts),
+        )
+        assert code == 1, err
+        assert f"attempts file {attempts}" in err
+        assert "bogus" in err
+
     @pytest.mark.parametrize("command", ["eval", "eval-reorder"])
     def test_predictions_matching_no_instance_exit_1(
         self, datasets, tmp_path, capsys, command
@@ -358,6 +475,12 @@ class TestDatasetKind:
         "unknown-stats-key": ("stats", lambda d: d["stats"].update(foo=1)),
         "missing-gt-order": (
             "eval-reorder", lambda d: d["instances"][0].pop("gt_order")
+        ),
+        "missing-is-unique": (
+            "eval-reorder", lambda d: d["instances"][0].pop("is_unique")
+        ),
+        "missing-n-valid-orders": (
+            "eval-reorder", lambda d: d["instances"][0].pop("n_valid_orders")
         ),
     }
 

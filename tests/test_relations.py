@@ -1,6 +1,7 @@
-"""Relation-calculus tests: the symbolic classifier's pinned examples, the
-bleeding reduction, cascade classification, and the witness oracles, which
-must return exactly what an exhaustive enumeration of strings returns.
+"""Relation-calculus tests: the symbolic classifier's pinned examples and
+its agreement with the set-algebra formulation it replaced, the bleeding
+reduction, cascade classification, and the witness oracles, which must
+return exactly what an exhaustive enumeration of strings returns.
 
 The full-corpus equivalence between the symbolic classifier and the
 count-based witness oracles is checked in the acceptance suite; the two
@@ -15,7 +16,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rewritebench.core import EmptySourceError, RewriteRule, apply_rule
+from rewritebench.core import EmptySourceError, RewriteRule, apply_rule, string_sets
 from rewritebench.relations import (
     ALL_CATEGORIES,
     CategoryString,
@@ -72,6 +73,67 @@ class TestFeeds:
     def test_subsumption_uses_second_source(self):
         # s_j inside the target but not the source fires condition 3
         assert feeds(R("a", "xbx"), R("b", "y"))
+
+
+def set_creates_sites(s_i, t_i, s_j):
+    """Reference feeding test in set algebra: the five conditions over the
+    substring, prefix and suffix sets of the three strings."""
+    if t_i == "" and len(s_j) > 1:
+        return True
+    sub_si, _, _ = string_sets(s_i)
+    sub_sj, pref_sj, suff_sj = string_sets(s_j)
+    sub_ti, pref_ti, suff_ti = string_sets(t_i)
+    return bool(
+        (t_i in sub_sj and t_i not in sub_si)
+        or (s_j in sub_ti and s_j not in sub_si)
+        or (pref_ti - sub_si) & suff_sj
+        or (suff_ti - sub_si) & pref_sj
+    )
+
+
+def equality_patterns(n):
+    """Every string of length ``n`` up to renaming of symbols: the first
+    occurrence of each symbol comes in alphabet order."""
+    def grow(prefix, used):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for k in range(used + 1):
+            yield from grow(prefix + chr(ord("a") + k), max(used, k + 1))
+
+    yield from grow("", 0)
+
+
+def test_feeds_and_bleeds_match_set_algebra_on_every_pattern():
+    """Every character-equality pattern of (first.source, first.target,
+    second.source) with each side of length up to 3, the first source
+    possibly empty: 41,348 patterns."""
+    checked = 0
+    for a, b, c in itertools.product(range(4), range(4), range(1, 4)):
+        for text in equality_patterns(a + b + c):
+            s_i, t_i, s_j = text[:a], text[a : a + b], text[a + b :]
+            first, second = R(s_i, t_i), R(s_j, "")
+            assert feeds(first, second) == set_creates_sites(s_i, t_i, s_j), text
+            assert bleeds(first, second) == set_creates_sites(t_i, s_i, s_j), text
+            checked += 1
+    assert checked == 41_348
+
+
+@given(
+    st.sampled_from(["a", "ab", "abc", "abcd"]).flatmap(
+        lambda symbols: st.tuples(
+            st.text(alphabet=symbols, max_size=6),
+            st.text(alphabet=symbols, max_size=6),
+            st.text(alphabet=symbols, min_size=1, max_size=6),
+        )
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_feeds_and_bleeds_match_set_algebra_on_longer_sides(sides):
+    s_i, t_i, s_j = sides
+    first, second = R(s_i, t_i), R(s_j, "")
+    assert feeds(first, second) == set_creates_sites(s_i, t_i, s_j)
+    assert bleeds(first, second) == set_creates_sites(t_i, s_i, s_j)
 
 
 class TestBleeds:
@@ -250,7 +312,7 @@ def _random_rule(rng):
 
 
 @pytest.mark.xfail(
-    reason="the symbolic classifier (set-based substring conditions) and "
+    reason="the symbolic classifier (substring/prefix/suffix conditions) and "
     "the count-increase witness oracle diverge on pairs where replacement "
     "multiplies or adjacency-shifts an already-present substring; see the "
     "acceptance suite for the full-corpus tally",
