@@ -39,6 +39,8 @@ from .gateway import (
 )
 from .permuter import ReorderInstance, build_perm_dataset, save_perm_dataset
 from .proposer import (
+    POST_PATIENCE_POLICIES,
+    QUOTA_MODES,
     Dataset,
     GeneratorParams,
     generate_dataset,
@@ -136,17 +138,12 @@ def _cmd_perm(args) -> int:
 
 
 def _mock_backend(path: str) -> MockChatBackend:
-    data = _load_json(path)
-    if isinstance(data, dict):
-        script = data.get("responses")
-    else:
-        script = data
+    script = _load_json(path)
     if not isinstance(script, list) or not all(
         isinstance(x, str) for x in script
     ):
         raise CliError(
-            f"mock file {path} must hold a JSON list of response strings "
-            '(or {"responses": [...]})'
+            f"mock file {path} must hold a JSON list of response strings"
         )
     return MockChatBackend(script)
 
@@ -293,6 +290,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_verify_relations(args) -> int:
+    if args.pairs < 1:
+        raise CliError("--pairs must be at least 1")
     rng = random.Random(args.seed)
     alphabet = Alphabet.from_string(args.alphabet)
     counts = {
@@ -379,10 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "deletion rules)")
     gen.add_argument("--size", dest="D", type=int, help="target dataset size D")
     gen.add_argument("--tau", type=int, help="patience budget")
-    gen.add_argument("--quota-mode", dest="quota_mode",
-                     choices=["category-balanced", "length-balanced", "both"])
+    gen.add_argument("--quota-mode", dest="quota_mode", choices=QUOTA_MODES)
     gen.add_argument("--post-patience-policy", dest="post_patience_policy",
-                     choices=["accept-any", "keep-length-quota"])
+                     choices=POST_PATIENCE_POLICIES)
     gen.set_defaults(func=_cmd_gen)
 
     perm = sub.add_parser(
@@ -391,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     perm.add_argument("--dataset", required=True)
     perm.add_argument("--out", required=True)
     perm.add_argument("--cap", type=int, default=40320,
-                      help="max permutations to enumerate for uniqueness")
+                      help="bound on m!, the number of orders of an m-rule "
+                           "cascade, above which n_valid_orders stays null")
     perm.set_defaults(func=_cmd_perm)
 
     for name, kind in (("solve", "pbe"), ("solve-reorder", "reorder")):

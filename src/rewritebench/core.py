@@ -36,15 +36,6 @@ class Alphabet:
     def from_string(cls, symbols: str) -> "Alphabet":
         return cls(tuple(symbols))
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __contains__(self, sym: str) -> bool:
-        return sym in self.symbols
-
 
 # The 17-symbol lowercase alphabet used by the small benchmark configuration
 # (a..k plus u..z).
@@ -71,10 +62,6 @@ class RewriteRule:
 
 
 Cascade = tuple[RewriteRule, ...]
-
-
-def render_cascade(cascade: Sequence[RewriteRule]) -> str:
-    return "[" + ", ".join(r.render() for r in cascade) + "]"
 
 
 def encode_rules(rules: Sequence[RewriteRule]) -> list[dict]:

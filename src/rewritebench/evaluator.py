@@ -78,33 +78,19 @@ def _cascade_from_block(body: str) -> Optional[Cascade]:
     return result
 
 
-@dataclass(frozen=True)
-class ExtractedPrediction:
-    first_cascade: Optional[Cascade]
-    last_cascade: Optional[Cascade]
-
-    @property
-    def is_null(self) -> bool:
-        return self.last_cascade is None
-
-
-def extract_pbe_prediction(text: str) -> ExtractedPrediction:
-    """Pull cascades from the first and last parseable fenced blocks.
+def extract_pbe_prediction(text: str) -> Optional[Cascade]:
+    """The cascade of the last parseable fenced block; None if none is.
 
     A block is parseable iff it contains a list of quoted strings each of
     the shape replace('A','B') or replace("A","B"); the last such list in
-    the block wins. No parseable block means a null prediction.
+    the block wins. An empty list is a parseable, empty cascade.
     """
-    first: Optional[Cascade] = None
     last: Optional[Cascade] = None
     for m in _FENCE_RE.finditer(text or ""):
         cascade = _cascade_from_block(m.group(1))
-        if cascade is None:
-            continue
-        if first is None:
-            first = cascade
-        last = cascade
-    return ExtractedPrediction(first_cascade=first, last_cascade=last)
+        if cascade is not None:
+            last = cascade
+    return last
 
 
 @dataclass(frozen=True)
@@ -113,8 +99,6 @@ class NormalizedCascade:
 
     rules: Cascade
     per_rule_valid: tuple[bool, ...]
-    truncated: bool
-    substituted_identity_count: int
 
     @property
     def valid_fraction(self) -> float:
@@ -143,14 +127,7 @@ def normalize_cascade(
     executed = tuple(
         r if ok else identity for r, ok in zip(raw[:L_max], valid[:L_max])
     )
-    return NormalizedCascade(
-        rules=executed,
-        per_rule_valid=valid,
-        truncated=len(raw) > L_max,
-        substituted_identity_count=sum(
-            1 for ok in valid[:L_max] if not ok
-        ),
-    )
+    return NormalizedCascade(rules=executed, per_rule_valid=valid)
 
 
 @dataclass(frozen=True)
@@ -196,7 +173,7 @@ def evaluate_pbe(
         executed = prediction.rules
         valid_contrib = prediction.valid_fraction
         pred_length = len(executed)
-        pred_category = category_of(executed).render() if executed else "0000"
+        pred_category = category_of(executed).render()
 
     pred_outputs = tuple(apply_cascade(executed, instance.inputs))
     passed = pred_outputs == instance.outputs
@@ -324,10 +301,9 @@ def score_attempt(
     limits apply to PBE only.
     """
     if task_kind == "pbe":
-        extraction = extract_pbe_prediction(text)
-        normalized = None if extraction.is_null else normalize_cascade(
-            extraction.last_cascade, s_max=s_max, L_max=L_max,
-            identity_symbol=identity_symbol,
+        cascade = extract_pbe_prediction(text)
+        normalized = None if cascade is None else normalize_cascade(
+            cascade, s_max=s_max, L_max=L_max, identity_symbol=identity_symbol,
         )
         record = evaluate_pbe(
             instance, normalized, identity_symbol=identity_symbol,

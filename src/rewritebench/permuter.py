@@ -27,8 +27,8 @@ class ReorderInstance:
     """A scrambled cascade together with the original I/O pair.
 
     ``gt_order`` lists indices into ``scrambled`` in the order they must be
-    applied to reproduce ``outputs``. ``n_valid_orders`` is None when the
-    cascade was too long to enumerate under the cap.
+    applied to reproduce ``outputs``. ``n_valid_orders`` is None when m!, the
+    number of orders of its m rules, exceeds the cap.
     """
 
     source_id: str

@@ -113,7 +113,8 @@ class GeneratorParams:
         if unknown:
             raise ValueError(f"unknown generator keys: {sorted(unknown)}")
         kwargs = dict(data)
-        kwargs["alphabet"] = Alphabet.from_string(kwargs["alphabet"])
+        if "alphabet" in kwargs:
+            kwargs["alphabet"] = Alphabet.from_string(kwargs["alphabet"])
         return cls(**kwargs)
 
 
@@ -444,8 +445,9 @@ def kl_from_counts(counts: Sequence[int], smoothing: float = 1.0) -> float:
     return max(kl, 0.0)
 
 
-def kl_balance_report(dataset: Dataset, smoothing: float = 1.0) -> BalanceReport:
-    """Tabulate category/length counts for a dataset and the category KL."""
+def kl_balance_report(dataset: Dataset) -> BalanceReport:
+    """Tabulate category/length counts for a dataset and the category KL,
+    with ``kl_from_counts``'s add-one smoothing."""
     if not dataset.instances:
         raise ValueError("dataset is empty")
     category_counts = {cat: 0 for cat in ALL_CATEGORIES}
@@ -455,12 +457,10 @@ def kl_balance_report(dataset: Dataset, smoothing: float = 1.0) -> BalanceReport
         length_counts[inst.effective_length] = (
             length_counts.get(inst.effective_length, 0) + 1
         )
-    kl = kl_from_counts(
-        [category_counts[cat] for cat in ALL_CATEGORIES], smoothing=smoothing
-    )
+    kl = kl_from_counts([category_counts[cat] for cat in ALL_CATEGORIES])
     return BalanceReport(
         category_counts=category_counts,
         length_counts=length_counts,
         kl_nats=kl,
-        smoothing=smoothing,
+        smoothing=1.0,
     )

@@ -108,6 +108,18 @@ class TestGen:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--alphabet", "abc"]])
+    def test_missing_setting_exits_1(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "gen", "--out", str(out), "--seed", "0", *flags
+        )
+        assert code == 1, err
+        assert "invalid generator configuration" in err
+        assert "missing" in err and "'n'" in err
+        assert ("'alphabet'" in err) == (not flags)
+        assert not out.exists()
+
     # Every gen flag, the field it sets and a value unlike the preset's.
     FLAGS = {
         "--n": ("n", 3), "--alphabet": ("alphabet", "abcdefg"),
@@ -219,6 +231,21 @@ class TestSolveEvalReport:
         )
         assert code == 1, err
         assert "must hold a JSON object" in err
+        assert not attempts.exists()
+
+    def test_mock_file_that_is_not_a_list_exits_1(
+        self, small_dataset, tmp_path, capsys
+    ):
+        mock, config = self._gt_mock(small_dataset, tmp_path)
+        mock.write_text(json.dumps({"responses": json.loads(mock.read_text())}))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve", "--dataset", str(small_dataset),
+            "--out", str(attempts), "--mock", str(mock),
+            "--config", str(config),
+        )
+        assert code == 1, err
+        assert "must hold a JSON list of response strings" in err
         assert not attempts.exists()
 
     def test_every_flag_lands_on_its_field_over_config(
@@ -578,3 +605,12 @@ class TestVerifyRelations:
         code, _, err = run(capsys, "verify-relations", "--pairs", "10")
         assert code == 1
         assert "--seed" in err
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_pairs_below_1_exits_1(self, capsys, pairs):
+        code, stdout, err = run(
+            capsys, "verify-relations", "--pairs", pairs, "--seed", "0"
+        )
+        assert code == 1
+        assert "--pairs must be at least 1" in err
+        assert stdout == ""

@@ -182,4 +182,4 @@ class TestHelpers:
             Alphabet.from_string("aa")
         with pytest.raises(ValueError):
             Alphabet(())
-        assert len(Alphabet.from_string("abc")) == 3
+        assert Alphabet.from_string("abc").symbols == ("a", "b", "c")

@@ -19,6 +19,7 @@ from rewritebench.evaluator import (
     normalize_cascade,
     parse_rule_string,
     pass_at_k_estimate,
+    score_attempt,
 )
 from rewritebench.permuter import ReorderInstance
 from rewritebench.proposer import PbeInstance
@@ -61,11 +62,7 @@ class TestRuleParsing:
 class TestExtraction:
     def test_single_block(self):
         text = "Here:\n```python\n[\"replace('ab','bc')\"]\n```\n"
-        pred = extract_pbe_prediction(text)
-        assert not pred.is_null
-        assert pred.first_cascade == pred.last_cascade == (
-            RewriteRule("ab", "bc"),
-        )
+        assert extract_pbe_prediction(text) == (RewriteRule("ab", "bc"),)
 
     def test_first_and_last_blocks(self):
         text = (
@@ -73,9 +70,7 @@ class TestExtraction:
             "thinking...\n"
             "```python\n[\"replace('c','d')\"]\n```\n"
         )
-        pred = extract_pbe_prediction(text)
-        assert pred.first_cascade == (RewriteRule("a", "b"),)
-        assert pred.last_cascade == (RewriteRule("c", "d"),)
+        assert extract_pbe_prediction(text) == (RewriteRule("c", "d"),)
 
     def test_last_list_in_block_wins(self):
         text = (
@@ -84,40 +79,35 @@ class TestExtraction:
             "[\"replace('x','y')\"]\n"
             "```\n"
         )
-        assert extract_pbe_prediction(text).last_cascade == (
-            RewriteRule("x", "y"),
-        )
+        assert extract_pbe_prediction(text) == (RewriteRule("x", "y"),)
 
     def test_refusal_is_null(self):
-        assert extract_pbe_prediction("I cannot solve this.").is_null
+        assert extract_pbe_prediction("I cannot solve this.") is None
 
     def test_empty_text_is_null(self):
-        assert extract_pbe_prediction("").is_null
+        assert extract_pbe_prediction("") is None
 
     def test_block_with_bad_elements_is_skipped(self):
         text = "```python\n['not a rule']\n```"
-        assert extract_pbe_prediction(text).is_null
+        assert extract_pbe_prediction(text) is None
 
     def test_no_language_tag(self):
         text = "```\n[\"replace('a','b')\"]\n```"
-        assert extract_pbe_prediction(text).last_cascade == (
-            RewriteRule("a", "b"),
-        )
+        assert extract_pbe_prediction(text) == (RewriteRule("a", "b"),)
 
 
 class TestNormalization:
     def test_truncation(self):
         raw = tuple(RewriteRule("a", "b") for _ in range(7))
         norm = normalize_cascade(raw, s_max=3, L_max=5, identity_symbol="a")
-        assert len(norm.rules) == 5
-        assert norm.truncated
+        assert norm.rules == raw[:5]
+        assert norm.per_rule_valid == (True,) * 7
 
     def test_overlong_source_substituted(self):
         raw = (RewriteRule("abcd", "x"),)
         norm = normalize_cascade(raw, s_max=3, L_max=5, identity_symbol="q")
         assert norm.rules == (RewriteRule("q", "q"),)
         assert norm.per_rule_valid == (False,)
-        assert norm.substituted_identity_count == 1
 
     def test_empty_source_substituted(self):
         raw = (RewriteRule("", "x"),)
@@ -136,6 +126,35 @@ class TestNormalization:
         norm = normalize_cascade(raw, s_max=3, L_max=5, identity_symbol="a")
         assert norm.per_rule_valid == (True,) * 5 + (False,)
         assert norm.valid_fraction == pytest.approx(5 / 6)
+
+
+class TestScoreAttempt:
+    @pytest.mark.parametrize(
+        "text,extracted,length,category,complexity",
+        [
+            # An empty list is a parseable, empty cascade: it executes
+            # nothing, and it is not a null prediction.
+            ("```python\n[]\n```", True, 0, "0000", 0),
+            # It is the last parseable block even after a non-empty one, and
+            # a later block that holds no list does not replace it.
+            (
+                "```python\n[\"replace('a','b')\"]\n```\n"
+                "```python\n[]\n```\n```\nnot a list\n```",
+                True, 0, "0000", 0,
+            ),
+            # No parseable block executes the identity rule ('a', 'a').
+            ("no code here", False, 0, INVALID_CATEGORY, 2),
+        ],
+    )
+    def test_last_parseable_block_or_identity(
+        self, text, extracted, length, category, complexity
+    ):
+        inst = make_instance([("a", "b")], ["ab", "ba"])
+        record, found = score_attempt(inst, text, "pbe")
+        assert found is extracted
+        assert record["pred_length"] == length
+        assert record["pred_category"] == category
+        assert record["complexity"] == complexity
 
 
 class TestEvaluatePbe:
@@ -392,4 +411,4 @@ class TestRoundTrip:
             f'"replace(\'{r.source}\',\'{r.target}\')"' for r in cascade
         )
         text = f"```python\n[{listing}]\n```"
-        assert extract_pbe_prediction(text).last_cascade == cascade
+        assert extract_pbe_prediction(text) == cascade

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rewritebench.core import Alphabet, RewriteRule, apply_cascade, render_cascade
+from rewritebench.core import Alphabet, RewriteRule, apply_cascade
 from rewritebench.proposer import (
     _below,
     _word,
@@ -203,7 +203,8 @@ class TestGenerateDataset:
         # cascades have two rules and render to the same text.
         a = (RewriteRule("a", 'b"), replace("c", "d'), RewriteRule("e", "f"))
         b = (RewriteRule("a", "b"), RewriteRule("c", 'd"), replace("e", "f'))
-        assert render_cascade(a) == render_cascade(b)
+        render = lambda cascade: ", ".join(r.render() for r in cascade)
+        assert render(a) == render(b)
         first = PbeInstance(
             id="", inputs=("x",), cascade=a, outputs=("y",),
             category=CategoryString.parse("0000"), fb_edges=(),
@@ -276,7 +277,7 @@ class TestGenerateDataset:
     def test_lite_params_shape(self):
         params = lite_params(seed=5)
         assert params.n == 5
-        assert len(params.alphabet) == 17
+        assert len(params.alphabet.symbols) == 17
         assert (params.L_min, params.L_max) == (2, 5)
         assert (params.l_min, params.l_max) == (2, 6)
         assert (params.s_min, params.s_max) == (1, 3)
