@@ -374,10 +374,11 @@ class BreakdownBundle:
         }
 
 
-def _category_bits(category: str) -> dict[str, bool]:
+def _category_bits(category: str) -> tuple[bool, ...]:
+    """One flag per ``RELATION_BITS`` entry; all False for INVALID."""
     if category == INVALID_CATEGORY:
-        return {bit: False for bit in RELATION_BITS}
-    return dict(zip(RELATION_BITS, (c == "1" for c in category)))
+        return (False,) * len(RELATION_BITS)
+    return tuple(c == "1" for c in category)
 
 
 def breakdown_reports(
@@ -390,6 +391,10 @@ def breakdown_reports(
     if len(records) != len(instances):
         raise ValueError("records and instances must align")
     bundle = BreakdownBundle()
+    bundle.relation_tables = {
+        bit: {side: dict(tp=0, fp=0, fn=0, tn=0) for side in ("pass", "fail")}
+        for bit in RELATION_BITS
+    }
     by_length: dict[int, list[bool]] = {}
     for rec, inst in zip(records, instances):
         gt_len = inst.effective_length
@@ -399,25 +404,16 @@ def breakdown_reports(
         row[rec.pred_length] = row.get(rec.pred_length, 0) + 1
         crow = bundle.category_confusion.setdefault(gt_cat, {})
         crow[rec.pred_category] = crow.get(rec.pred_category, 0) + 1
+        side = "pass" if rec.passed else "fail"
+        for bit, gt, pred in zip(
+            RELATION_BITS, _category_bits(gt_cat),
+            _category_bits(rec.pred_category),
+        ):
+            cell = "tp" if gt and pred else "fp" if pred else "fn" if gt else "tn"
+            bundle.relation_tables[bit][side][cell] += 1
     for length, passes in by_length.items():
         bundle.pass_rate_by_length[length] = {
             "count": len(passes),
             "pass_rate": sum(passes) / len(passes),
         }
-    for bit in RELATION_BITS:
-        tables = {"pass": dict(tp=0, fp=0, fn=0, tn=0),
-                  "fail": dict(tp=0, fp=0, fn=0, tn=0)}
-        for rec, inst in zip(records, instances):
-            gt = _category_bits(inst.category.render())[bit]
-            pred = _category_bits(rec.pred_category)[bit]
-            side = tables["pass" if rec.passed else "fail"]
-            if gt and pred:
-                side["tp"] += 1
-            elif pred:
-                side["fp"] += 1
-            elif gt:
-                side["fn"] += 1
-            else:
-                side["tn"] += 1
-        bundle.relation_tables[bit] = tables
     return bundle

@@ -14,7 +14,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import Cascade, apply_cascade, apply_rule_vec, decode_rules, encode_rules
+from .core import (
+    Cascade,
+    EmptySourceError,
+    apply_cascade,
+    decode_rules,
+    encode_rules,
+)
 from .proposer import Dataset, PbeInstance
 
 
@@ -105,7 +111,14 @@ def count_valid_orders(instance: ReorderInstance, cap: int = 40320) -> int:
     vector), and every order through a state shares its completions, so
     orders with a common prefix, or prefixes that reach the same vector with
     the same rules left, are worked out once. Always at least 1 because
-    gt_order is valid by construction.
+    gt_order is valid by construction. A rule with an empty find pattern
+    raises ``EmptySourceError``, but only once m! fits under ``cap``.
+
+    The vector is held as one string: its strings, each followed by a
+    separator that occurs in no string and no rule. No find pattern can
+    then match across a separator, and replacements never make one, so one
+    ``str.replace`` on the joined string gives exactly the joined result of
+    ``apply_rule_vec``.
     """
     rules = instance.scrambled
     m = len(rules)
@@ -113,26 +126,37 @@ def count_valid_orders(instance: ReorderInstance, cap: int = 40320) -> int:
         raise CapacityError(
             f"{m}! = {math.factorial(m)} permutations exceed cap {cap}"
         )
-    outputs = list(instance.outputs)
-    memo: dict[tuple, int] = {}
+    if any(not rule.source for rule in rules):
+        raise EmptySourceError("cannot apply a rule with an empty find pattern")
+    used = set("".join((
+        *instance.inputs, *instance.outputs,
+        *(rule.source + rule.target for rule in rules),
+    )))
+    # The lowest code point in no string; one is free whenever the strings
+    # hold fewer than all 0x110000 code points.
+    code = 0
+    while chr(code) in used:
+        code += 1
+    sep = chr(code)
+    outputs = "".join(s + sep for s in instance.outputs)
+    steps = [(1 << i, rule.source, rule.target) for i, rule in enumerate(rules)]
+    memo: dict[tuple[int, str], int] = {}
 
-    def completions(left: int, vector: list[str]) -> int:
+    def completions(left: int, text: str) -> int:
         # ``left`` has bit i set while rule i is still to be applied.
         if not left:
-            return 1 if vector == outputs else 0
-        key = (left, *vector)
+            return 1 if text == outputs else 0
+        key = (left, text)
         count = memo.get(key)
         if count is None:
             count = 0
-            for i in range(m):
-                if left >> i & 1:
-                    count += completions(
-                        left ^ (1 << i), apply_rule_vec(rules[i], vector)
-                    )
+            for bit, source, target in steps:
+                if left & bit:
+                    count += completions(left ^ bit, text.replace(source, target))
             memo[key] = count
         return count
 
-    return completions((1 << m) - 1, list(instance.inputs))
+    return completions((1 << m) - 1, "".join(s + sep for s in instance.inputs))
 
 
 def build_perm_dataset(

@@ -1,6 +1,7 @@
 """CLI tests: subcommand behaviour, exit codes, config validation, and
 reproducibility of generated artifacts."""
 
+import hashlib
 import json
 import pathlib
 
@@ -299,6 +300,46 @@ class TestSolveEvalReport:
         assert {"pass_rate_by_length", "length_confusion",
                 "category_confusion", "relation_tables"} <= set(
             data["breakdowns"]
+        )
+
+    def test_report_bytes_pinned(self, small_dataset, tmp_path, capsys):
+        # Replies cycle through the right cascade, another instance's
+        # cascade, the right cascade's first rule and no code at all, so
+        # every breakdown table has passing, failing and null rows.
+        programs = [
+            inst["programs"]
+            for inst in json.loads(small_dataset.read_text())["instances"]
+        ]
+        responses = []
+        for i, rules in enumerate(programs):
+            chosen = [rules, programs[(i + 1) % len(programs)], rules[:1],
+                      None][i % 4]
+            if chosen is None:
+                responses.append("no code here")
+                continue
+            listing = ", ".join(
+                f"\"replace('{p['find']}','{p['replace']}')\"" for p in chosen
+            )
+            responses.append(f"```python\n[{listing}]\n```")
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(responses))
+        config = tmp_path / "solver.json"
+        config.write_text(json.dumps({"max_in_flight": 1}))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve", "--dataset", str(small_dataset),
+            "--out", str(attempts), "--mock", str(mock),
+            "--config", str(config),
+        )
+        assert code == 0, err
+        out = tmp_path / "full.json"
+        code, _, err = run(
+            capsys, "report", "--dataset", str(small_dataset),
+            "--attempts", str(attempts), "--out", str(out),
+        )
+        assert code == 0, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f5e16de2ba004069f7db8557dd4871eb8b782fb301f21603e292cee22ff4faf1"
         )
 
     def test_eval_with_inline_predictions(self, small_dataset, tmp_path, capsys):

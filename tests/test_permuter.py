@@ -4,11 +4,13 @@ serialized permutation dataset."""
 import hashlib
 import itertools
 import json
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rewritebench.core import RewriteRule, apply_cascade
+from rewritebench.core import EmptySourceError, RewriteRule, apply_cascade
 from rewritebench.permuter import (
     CapacityError,
     ReorderInstance,
@@ -23,6 +25,7 @@ from rewritebench.proposer import (
     PbeInstance,
     generate_dataset,
     lite_params,
+    sample_candidate,
 )
 from rewritebench.relations import classify_bfcc
 
@@ -120,12 +123,71 @@ class TestCountValidOrders:
         assert reorder is not None
         assert count_valid_orders(reorder, cap=10_000) == enumerate_orders(reorder)
 
+    def test_capacity_error_comes_before_empty_source(self):
+        reorder = ReorderInstance(
+            source_id="x",
+            inputs=("a",),
+            outputs=("b",),
+            scrambled=(RewriteRule("", "b"), RewriteRule("a", "b")),
+            gt_order=(1, 0),
+        )
+        with pytest.raises(CapacityError):
+            count_valid_orders(reorder, cap=1)
+        with pytest.raises(EmptySourceError):
+            count_valid_orders(reorder, cap=2)
+
+    @pytest.mark.parametrize("inputs, outputs, expected", [
+        (("ab",), ("ab",), 1),
+        (("ab",), ("ba",), 0),
+        ((), (), 1),
+        ((), ("",), 0),
+    ])
+    def test_empty_cascade_counts_an_int(self, inputs, outputs, expected):
+        reorder = ReorderInstance(
+            source_id="x", inputs=inputs, outputs=outputs, scrambled=(),
+            gt_order=(),
+        )
+        count = count_valid_orders(reorder)
+        assert type(count) is int
+        assert json.dumps(count) == str(expected)
+
+    def test_every_low_code_point_in_use(self):
+        # The strings use U+0000..U+0040, so the separator must come from
+        # past all of them.
+        low = "".join(chr(c) for c in range(0x41))
+        rules = [("\x00", "\n"), ("\n|", "\x00"), ("|", "\n|"), ("@", "")]
+        inst = make_instance(rules, [low, "\x00|\n", "|@"])
+        reorder = fb_swap(inst)
+        assert reorder is not None
+        count = count_valid_orders(reorder)
+        assert type(count) is int
+        assert count == enumerate_orders(reorder) >= 1
+
+    @pytest.mark.parametrize("m, n_instances", [(7, 4), (8, 1)])
+    def test_long_cascades_match_enumeration(self, m, n_instances):
+        params = replace(lite_params(seed=0), L_min=m, L_max=m)
+        rng = random.Random(m)
+        checked = 0
+        while checked < n_instances:
+            candidate = sample_candidate(params, rng)
+            if candidate is None:
+                continue
+            _, edges = classify_bfcc(candidate.cascade)
+            reorder = fb_swap(replace(candidate, fb_edges=tuple(edges)))
+            if reorder is None:
+                continue
+            assert len(reorder.scrambled) == m
+            assert count_valid_orders(reorder) == enumerate_orders(reorder)
+            checked += 1
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_enumeration_on_random_cascades(self, data):
         # Deletion rules (empty targets), duplicate rules and commuting
-        # rules (disjoint symbols) all occur among these draws.
-        symbols = data.draw(st.sampled_from(["ab", "abc"]))
+        # rules (disjoint symbols) all occur among these draws, and so do
+        # the lowest code points and common separators, which the count
+        # must not confuse with its own separator.
+        symbols = data.draw(st.sampled_from(["ab", "abc", "a\x00\n|", "\x00\x01b"]))
         rule = st.builds(
             RewriteRule,
             st.text(symbols, min_size=1, max_size=2),
@@ -146,6 +208,7 @@ class TestCountValidOrders:
             gt_order=gt_order,
         )
         count = count_valid_orders(reorder)
+        assert type(count) is int
         assert count == enumerate_orders(reorder)
         assert count >= 1
 
