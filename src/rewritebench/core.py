@@ -138,6 +138,8 @@ def string_sets(s: str) -> tuple[frozenset[str], frozenset[str], frozenset[str]]
 def substrings_of_length(items: Sequence[str], length: int) -> list[str]:
     """Sorted, deduplicated substrings of exactly ``length`` occurring anywhere
     in the vector."""
+    if length == 1:
+        return sorted(set("".join(items)))
     return sorted(
         {s[i : i + length] for s in items for i in range(len(s) - length + 1)}
     )

@@ -255,14 +255,31 @@ def _word(getrandbits, symbols: Sequence[str], length: int) -> str:
 
 def sample_input_vector(params: GeneratorParams, rng: random.Random) -> list[str]:
     """n strings with uniform lengths in [l_min, l_max] and i.i.d. uniform
-    characters."""
+    characters.
+
+    Each string makes the draws of ``_word(getrandbits, symbols, l_min +
+    _below(getrandbits, spread))``. Both loops are written out, which saves
+    two calls per string on every candidate.
+    """
     symbols = params.alphabet.symbols
     getrandbits = rng.getrandbits
+    n_symbols = len(symbols)
+    k_symbol = n_symbols.bit_length()
     l_min, spread = params.l_min, params.l_max - params.l_min + 1
-    return [
-        _word(getrandbits, symbols, l_min + _below(getrandbits, spread))
-        for _ in range(params.n)
-    ]
+    k_length = spread.bit_length()
+    vector = []
+    for _ in range(params.n):
+        r = getrandbits(k_length)
+        while r >= spread:
+            r = getrandbits(k_length)
+        chars = []
+        for _ in range(l_min + r):
+            r = getrandbits(k_symbol)
+            while r >= n_symbols:
+                r = getrandbits(k_symbol)
+            chars.append(symbols[r])
+        vector.append("".join(chars))
+    return vector
 
 
 def sample_rule(
@@ -312,16 +329,19 @@ def sample_candidate(
         rng.getrandbits, params.L_max - params.L_min + 1
     )
     inputs = sample_input_vector(params, rng)
-    intermediate = list(inputs)
+    intermediate = inputs
     kept: list[RewriteRule] = []
     for _ in range(target_length):
         rule = sample_rule(intermediate, params, rng)
         if rule is None:
             break
-        changed = apply_rule_vec(rule, intermediate)
-        if changed != intermediate:
+        # The find pattern occurs in the vector, so the rule changes it iff
+        # the replacement differs: at the first occurrence a same-length
+        # replacement writes other text, and any other length changes the
+        # string's length.
+        if rule.target != rule.source:
             kept.append(rule)
-            intermediate = changed
+            intermediate = apply_rule_vec(rule, intermediate)
     if len(kept) < params.L_min or intermediate == inputs:
         return None
     category = category_of(kept, allowed)
@@ -361,8 +381,9 @@ def generate_dataset(params: GeneratorParams) -> Dataset:
     enforce_length = params.quota_mode in ("length-balanced", "both")
 
     # Categories whose quota has room; a candidate outside them is rejected
-    # before its classification finishes.
-    open_categories = set(ALL_CATEGORIES)
+    # before its classification finishes. A frozenset, rebuilt only when a
+    # category closes, so ``category_of`` takes it without a copy.
+    open_categories = frozenset(ALL_CATEGORIES)
 
     t = 0
     while len(instances) < params.D:
@@ -401,7 +422,7 @@ def generate_dataset(params: GeneratorParams) -> Dataset:
         cat_counts[cat] += 1
         len_counts[length] += 1
         if cat_counts[cat] >= cat_quota:
-            open_categories.discard(cat)
+            open_categories = open_categories - {cat}
 
     stats.attempts = t
     stats.acceptances = len(instances)

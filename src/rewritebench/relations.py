@@ -11,6 +11,7 @@ classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Collection, Optional, Sequence
 
 from .core import EmptySourceError, RewriteRule
@@ -139,6 +140,24 @@ def classify_bfcc(cascade: Sequence[RewriteRule]) -> tuple[CategoryString, list[
     return category, edges
 
 
+# The category of each bit mask, in render order: f = 8, b = 4, cf = 2, cb = 1.
+_CATEGORY_OF_MASK = tuple(
+    CategoryString(*(bool(mask & bit) for bit in (8, 4, 2, 1))) for mask in range(16)
+)
+
+
+@lru_cache(maxsize=64)
+def _reachable(allowed: Optional[frozenset[str]]) -> tuple[bool, ...]:
+    """Per bit mask: can a cascade with these bits set still end in a
+    category of ``allowed`` (any category when None)?"""
+    if allowed is None:
+        return (True,) * 16
+    targets = [int(cat, 2) for cat in allowed]
+    return tuple(
+        any(target & mask == mask for target in targets) for mask in range(16)
+    )
+
+
 def category_of(
     cascade: Sequence[RewriteRule], allowed: Optional[Collection[str]] = None
 ) -> Optional[CategoryString]:
@@ -148,11 +167,13 @@ def category_of(
     With ``allowed``, a collection of rendered categories, returns None as
     soon as the category can no longer end in it: bits are only ever set,
     so the reachable categories are those holding every bit set so far.
+    The reachability table is cached by the collection's contents, so the
+    answer follows them; a frozenset is used without a copy.
     """
     if len(cascade) > 1 and not all(rule.source for rule in cascade):
         raise EmptySourceError("category_of() requires every find pattern")
-    targets = None if allowed is None else [int(cat, 2) for cat in allowed]
-    mask = 0  # the bits in render order: f = 8, b = 4, cf = 2, cb = 1
+    reachable = _reachable(None if allowed is None else frozenset(allowed))
+    mask = 0
     for i, first in enumerate(cascade):
         s_i, t_i = first.source, first.target
         for j, second in enumerate(cascade):
@@ -164,25 +185,25 @@ def category_of(
                 mask |= feed
             if not mask & bleed and _creates_sites(t_i, s_i, second.source):
                 mask |= bleed
-            if (
-                mask != before
-                and targets is not None
-                and not any(target & mask == mask for target in targets)
-            ):
+            if mask != before and not reachable[mask]:
                 return None
         if mask == 15:
             break
-    return CategoryString(*(bool(mask & bit) for bit in (8, 4, 2, 1)))
+    return _CATEGORY_OF_MASK[mask]
 
 
 _FRESH_POOL = "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def _fresh_symbol(used: set[str]) -> str:
+    """The first pool character not in ``used``, else the lowest code point
+    not in it."""
     for c in _FRESH_POOL:
         if c not in used:
             return c
-    code = max(ord(c) for c in used) + 1
+    code = 0
+    while chr(code) in used:
+        code += 1
     return chr(code)
 
 

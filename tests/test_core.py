@@ -177,6 +177,14 @@ class TestHelpers:
         assert substrings_of_length(["aba", "bc"], 2) == ["ab", "ba", "bc"]
         assert substrings_of_length(["a"], 2) == []
 
+    @given(st.lists(short_text, max_size=5), st.integers(1, 4))
+    def test_substrings_of_length_matches_slices(self, items, length):
+        # Length 1 takes a shortcut over the joined characters.
+        expected = sorted({
+            s[i : i + length] for s in items for i in range(len(s) - length + 1)
+        })
+        assert substrings_of_length(items, length) == expected
+
     def test_alphabet_validation(self):
         with pytest.raises(ValueError):
             Alphabet.from_string("aa")

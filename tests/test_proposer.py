@@ -10,7 +10,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rewritebench.core import Alphabet, RewriteRule, apply_cascade
+from rewritebench import proposer
+from rewritebench.core import Alphabet, RewriteRule, apply_cascade, apply_rule_vec
 from rewritebench.proposer import (
     _below,
     _word,
@@ -25,7 +26,7 @@ from rewritebench.proposer import (
     sample_input_vector,
     sample_rule,
 )
-from rewritebench.relations import CategoryString, classify_bfcc
+from rewritebench.relations import ALL_CATEGORIES, CategoryString, classify_bfcc
 
 
 def tiny_params(**overrides):
@@ -81,9 +82,10 @@ class TestParams:
 
 
 class TestDraws:
-    """The generator draws through ``_below`` and ``_word`` instead of
-    ``choice``/``randint``; they must make the same ``getrandbits`` calls,
-    so the stream, and every dataset, stays what it was."""
+    """The generator draws through ``_below`` and ``_word``, or loops
+    written like them, instead of ``choice``/``randint``; they must make the
+    same ``getrandbits`` calls, so the stream, and every dataset, stays what
+    it was."""
 
     @given(
         seed=st.integers(0, 2**64),
@@ -116,6 +118,107 @@ class TestDraws:
                 low, low + width
             )
         assert ours.getstate() == theirs.getstate()
+
+
+def _reference_substrings(items, length):
+    return sorted({s[i : i + length] for s in items for i in range(len(s) - length + 1)})
+
+
+def reference_candidate(params, rng, allowed=None):
+    """``sample_candidate`` written with ``random``'s own ``choice`` and
+    ``randint``: every drawn rule is applied, and kept when the vector
+    changed. With ``allowed``, a category is rejected when it holds a bit
+    that no allowed category holds."""
+    symbols = params.alphabet.symbols
+    target_length = rng.randint(params.L_min, params.L_max)
+    inputs = [
+        "".join([rng.choice(symbols) for _ in range(rng.randint(params.l_min, params.l_max))])
+        for _ in range(params.n)
+    ]
+    intermediate = list(inputs)
+    kept = []
+    for _ in range(target_length):
+        source_len = rng.randint(params.s_min, params.s_max)
+        candidates = _reference_substrings(intermediate, source_len)
+        if not candidates:
+            feasible = [
+                length for length in range(params.s_min, params.s_max + 1)
+                if any(len(s) >= length for s in intermediate)
+            ]
+            if not feasible:
+                break
+            candidates = _reference_substrings(intermediate, rng.choice(feasible))
+        source = rng.choice(candidates)
+        target = "".join(
+            [rng.choice(symbols) for _ in range(rng.randint(params.t_min, params.s_max))]
+        )
+        rule = RewriteRule(source, target)
+        changed = apply_rule_vec(rule, intermediate)
+        if changed != intermediate:
+            kept.append(rule)
+            intermediate = changed
+    if len(kept) < params.L_min or intermediate == inputs:
+        return None
+    category = classify_bfcc(kept)[0]
+    bits = category.render()
+    if allowed is not None and bits != "0000" and not any(
+        all(have >= need for have, need in zip(cat, bits)) for cat in allowed
+    ):
+        return None
+    return (tuple(inputs), tuple(kept), tuple(intermediate), category)
+
+
+@st.composite
+def sampler_settings(draw):
+    size = draw(st.integers(1, 5))
+    l_min = draw(st.integers(1, 3))
+    s_min = draw(st.integers(1, 3))
+    s_max = draw(st.integers(s_min, 3))
+    L_min = draw(st.integers(1, 3))
+    params = GeneratorParams(
+        n=draw(st.integers(1, 4)),
+        alphabet=Alphabet.from_string("abcde"[:size]),
+        l_min=l_min, l_max=draw(st.integers(l_min, 5)),
+        L_min=L_min, L_max=draw(st.integers(L_min, 5)),
+        s_min=s_min, s_max=s_max, t_min=draw(st.integers(0, s_max)),
+        D=16, tau=1, seed=0,
+    )
+    allowed = draw(st.none() | st.sets(st.sampled_from(ALL_CATEGORIES)))
+    return params, allowed
+
+
+class TestStreamIdentity:
+    """``sample_candidate`` must draw exactly what the straightforward
+    sampler draws, and leave the generator in the same state, so that every
+    dataset stays byte-identical."""
+
+    @given(sampler_settings(), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_sampler(self, setting, seed):
+        params, allowed = setting
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            got = sample_candidate(params, ours, allowed)
+            expected = reference_candidate(params, theirs, allowed)
+            if expected is None:
+                assert got is None
+            else:
+                assert got is not None
+                assert (got.inputs, got.cascade, got.outputs, got.category) == expected
+        assert ours.getstate() == theirs.getstate()
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_kept_rule_test_is_exact(self, data):
+        # A rule whose find pattern occurs in the vector changes it exactly
+        # when its replacement differs from its find pattern.
+        vector = data.draw(st.lists(st.text(alphabet="abc", max_size=6), max_size=3))
+        host = data.draw(st.text(alphabet="abc", min_size=1, max_size=6))
+        vector.insert(data.draw(st.integers(0, len(vector))), host)
+        start = data.draw(st.integers(0, len(host) - 1))
+        source = host[start : data.draw(st.integers(start + 1, len(host)))]
+        rule = RewriteRule(source, data.draw(st.text(alphabet="abc", max_size=4)))
+        assert (rule.target != rule.source) == (apply_rule_vec(rule, vector) != vector)
 
 
 class TestSampling:
@@ -265,6 +368,34 @@ class TestGenerateDataset:
         text = json.dumps(ds.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "90a387105388edb5630e45ffd13afa3364888da4699f159306c177283969a147"
+        )
+
+    def test_short_inputs_config_bytes_pinned(self, monkeypatch):
+        # Inputs shorter than the find patterns send ``sample_rule`` to its
+        # fallback over the feasible lengths, and to None when there is
+        # none; a two-symbol alphabet under both quotas exhausts patience.
+        # The pinned hash is of the dataset the generator gave before the
+        # samplers decided kept rules on their strings.
+        empty_results = []
+        substrings = proposer.substrings_of_length
+
+        def counting(items, length):
+            found = substrings(items, length)
+            empty_results.append(not found)
+            return found
+
+        monkeypatch.setattr(proposer, "substrings_of_length", counting)
+        params = GeneratorParams(
+            n=3, alphabet=Alphabet.from_string("ab"), l_min=1, l_max=3,
+            L_min=2, L_max=3, s_min=2, s_max=3, t_min=0, D=32, tau=2000,
+            seed=11, quota_mode="both",
+        )
+        ds = generate_dataset(params)
+        text = json.dumps(ds.to_dict(), sort_keys=True)
+        assert any(empty_results)
+        assert ds.stats.attempts == 2009
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "370a7d5a9b44d52fc81a1be0cdac2e93e69aa3ce05e4f425a55ff08b49a67b7f"
         )
 
     def test_lite_generates_deletion_rules(self):

@@ -28,6 +28,8 @@ from rewritebench.relations import (
     feeds,
     oracle_bleeds,
     oracle_feeds,
+    _FRESH_POOL,
+    _fresh_symbol,
     _oracle_alphabet,
 )
 
@@ -213,6 +215,22 @@ class TestClassify:
             True, False, False, False
         )
 
+    def test_category_of_follows_a_mutated_set(self):
+        # The reachability table must be keyed on the set's contents, not on
+        # the set object.
+        cascade = [R("bc", "dc"), R("ad", "ed")]  # category 1000
+        allowed = {"1100"}
+        assert category_of(cascade, allowed) == CategoryString(
+            True, False, False, False
+        )
+        allowed.clear()
+        allowed.add("0100")
+        assert category_of(cascade, allowed) is None
+        allowed.add("1000")
+        assert category_of(cascade, allowed) == CategoryString(
+            True, False, False, False
+        )
+
     def test_category_of_requires_find_patterns(self):
         with pytest.raises(EmptySourceError):
             category_of([R("", "a"), R("b", "c")])
@@ -242,6 +260,14 @@ class TestOracles:
 
     def test_self_destruction_witness(self):
         assert oracle_bleeds(R("ab", ""), R("ab", "x"), 3) == "ab"
+
+    def test_fresh_symbol_beyond_the_pool(self):
+        # Every pool character and the last code point are used: the fresh
+        # symbol is the lowest unused code point, not one past the highest.
+        used = set(_FRESH_POOL) | {chr(0x10FFFF)}
+        assert _fresh_symbol(used) == chr(0)
+        assert _fresh_symbol(used | {chr(0)}) == chr(1)
+        assert oracle_feeds(R(_FRESH_POOL, chr(0x10FFFF)), R("a", "b"), 2) is None
 
     def test_default_bound(self):
         assert default_oracle_bound(R("ab", "c"), R("de", "f")) == 7
