@@ -149,6 +149,16 @@ def levenshtein(a: str, b: str) -> int:
     """Unit-cost insert/delete/substitute edit distance."""
     if a == b:
         return 0
+    # A shared prefix or suffix costs nothing under unit costs, so only the
+    # differing middles go through the table.
+    start, end = 0, min(len(a), len(b))
+    while start < end and a[start] == b[start]:
+        start += 1
+    trail = 0
+    while trail < end - start and a[-1 - trail] == b[-1 - trail]:
+        trail += 1
+    a = a[start:len(a) - trail]
+    b = b[start:len(b) - trail]
     if not a:
         return len(b)
     if not b:

@@ -39,8 +39,36 @@ _RULE_RE = re.compile(
     rf"^\s*replace\s*\(\s*({_QUOTED})\s*,\s*({_QUOTED})\s*\)\s*$"
 )
 # A bracketed literal with no nested brackets; candidates are then parsed
-# properly with ast.literal_eval.
+# properly as Python literals.
 _LIST_RE = re.compile(r"\[[^\[\]]*\]", re.DOTALL)
+
+# A plain string literal: a quoted body without backslash, NUL, LF, CR or a
+# lone surrogate is its own value, ast.literal_eval(q + body + q) == body for
+# either quote q. Other literals (escapes, prefixes, concatenation, comments)
+# go through ast.literal_eval.
+_PLAIN = r"""(?:'[^'\\\x00\n\r\ud800-\udfff]*'|"[^"\\\x00\n\r\ud800-\udfff]*")"""
+_PLAIN_RE = re.compile(_PLAIN)
+# Each literal is followed by a comma or by the closing bracket.
+_PLAIN_LIST_RE = re.compile(rf"\[[ \t\n]*(?:{_PLAIN}[ \t\n]*(?:,[ \t\n]*|(?=\])))*\]")
+# What ast.literal_eval raises on input it cannot read, deeply nested input
+# included.
+_LITERAL_ERRORS = (ValueError, TypeError, SyntaxError, MemoryError, RecursionError)
+
+
+def _literal(token: str):
+    """``ast.literal_eval(token)``, read directly when it is a plain string
+    literal."""
+    if _PLAIN_RE.fullmatch(token):
+        return token[1:-1]
+    return ast.literal_eval(token)
+
+
+def _list_literal(candidate: str):
+    """``ast.literal_eval(candidate)``, read directly when it is a list of
+    plain string literals."""
+    if _PLAIN_LIST_RE.fullmatch(candidate):
+        return [token[1:-1] for token in _PLAIN_RE.findall(candidate)]
+    return ast.literal_eval(candidate)
 
 
 def parse_rule_string(text: str) -> Optional[RewriteRule]:
@@ -49,9 +77,9 @@ def parse_rule_string(text: str) -> Optional[RewriteRule]:
     if not m:
         return None
     try:
-        source = ast.literal_eval(m.group(1))
-        target = ast.literal_eval(m.group(2))
-    except (ValueError, SyntaxError):
+        source = _literal(m.group(1))
+        target = _literal(m.group(2))
+    except _LITERAL_ERRORS:
         return None
     if not isinstance(source, str) or not isinstance(target, str):
         return None
@@ -64,8 +92,8 @@ def _cascade_from_block(body: str) -> Optional[Cascade]:
     result: Optional[Cascade] = None
     for candidate in _LIST_RE.findall(body):
         try:
-            items = ast.literal_eval(candidate)
-        except (ValueError, SyntaxError):
+            items = _list_literal(candidate)
+        except _LITERAL_ERRORS:
             continue
         if not isinstance(items, list):
             continue
@@ -254,7 +282,7 @@ def extract_permutation(text: str, m: int) -> Optional[list[int]]:
     for match in _FENCE_RE.finditer(text or ""):
         try:
             parsed = json.loads(match.group(1).strip())
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             continue
         if isinstance(parsed, list) and all(
             isinstance(x, int) and not isinstance(x, bool) for x in parsed

@@ -367,7 +367,20 @@ class AttemptLog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AttemptLog":
-        return cls(**data)
+        """The log a ``to_dict`` record holds; TypeError if a field that
+        replay reads has the wrong type."""
+        log = cls(**data)
+        if not isinstance(log.instance_id, str):
+            raise TypeError(f"instance_id {log.instance_id!r} is not a string")
+        if not isinstance(log.attempt_index, int) or isinstance(
+            log.attempt_index, bool
+        ):
+            raise TypeError(
+                f"attempt_index {log.attempt_index!r} is not an integer"
+            )
+        if log.eval is not None and not isinstance(log.eval, dict):
+            raise TypeError(f"eval {log.eval!r} is neither null nor an object")
+        return log
 
 
 def prompt_hash(prompt: str) -> str:

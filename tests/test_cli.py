@@ -304,23 +304,37 @@ class TestSolveEvalReport:
 
     def test_report_bytes_pinned(self, small_dataset, tmp_path, capsys):
         # Replies cycle through the right cascade, another instance's
-        # cascade, the right cascade's first rule and no code at all, so
-        # every breakdown table has passing, failing and null rows.
+        # cascade, the right cascade's first rule, no code at all, the right
+        # cascade behind an escaped rule, the right cascade with
+        # double-quoted arguments, and a two-block reply whose last block
+        # holds another instance's cascade. So every breakdown table has
+        # passing, failing and null rows, and both the plain-literal and the
+        # escaped-literal readings of a reply are pinned.
         programs = [
             inst["programs"]
             for inst in json.loads(small_dataset.read_text())["instances"]
         ]
+
+        def block(rules, rule="replace('{}','{}')", quote='"'):
+            listing = ", ".join(
+                quote + rule.format(p["find"], p["replace"]) + quote
+                for p in rules
+            )
+            return f"```python\n[{listing}]\n```"
+
+        escaped = "[\"replace('a\\\\'b','c')\", "
         responses = []
         for i, rules in enumerate(programs):
-            chosen = [rules, programs[(i + 1) % len(programs)], rules[:1],
-                      None][i % 4]
-            if chosen is None:
-                responses.append("no code here")
-                continue
-            listing = ", ".join(
-                f"\"replace('{p['find']}','{p['replace']}')\"" for p in chosen
-            )
-            responses.append(f"```python\n[{listing}]\n```")
+            other = programs[(i + 1) % len(programs)]
+            responses.append([
+                block(rules),
+                block(other),
+                block(rules[:1]),
+                "no code here",
+                block(rules).replace("[", escaped, 1),
+                block(rules, 'replace("{}","{}")', "'"),
+                block(rules) + "\nor\n" + block(other),
+            ][i % 7])
         mock = tmp_path / "mock.json"
         mock.write_text(json.dumps(responses))
         config = tmp_path / "solver.json"
@@ -338,8 +352,11 @@ class TestSolveEvalReport:
             "--attempts", str(attempts), "--out", str(out),
         )
         assert code == 0, err
+        assert hashlib.sha256(attempts.read_bytes()).hexdigest() == (
+            "940cc326415b99ea306d724c729155d9f66593419c03a9ab9ca776bb37c488d2"
+        )
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f5e16de2ba004069f7db8557dd4871eb8b782fb301f21603e292cee22ff4faf1"
+            "6c8a04ddf33aa26b3f11c836c6df00141acd08458f0a477896de60c154084fa2"
         )
 
     def test_eval_with_inline_predictions(self, small_dataset, tmp_path, capsys):
@@ -490,6 +507,33 @@ class TestSolveEvalReport:
         assert code == 1, err
         assert f"attempts file {attempts}" in err
         assert "bogus" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("eval", [1]), ("eval", "x"), ("eval", 3), ("attempt_index", "0"),
+        ("attempt_index", True), ("instance_id", 5),
+    ])
+    def test_attempt_field_of_the_wrong_type_exits_1(
+        self, datasets, tmp_path, capsys, field, value
+    ):
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(["no answer"]))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve", "--dataset", str(datasets["eval"]),
+            "--out", str(attempts), "--mock", str(mock),
+        )
+        assert code == 0, err
+        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
+        logs[1][field] = value
+        attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
+        code, out, err = run(
+            capsys, "report", "--dataset", str(datasets["eval"]),
+            "--attempts", str(attempts),
+        )
+        assert code == 1, err
+        assert out == ""
+        assert "corrupt attempt log at line 2" in err
+        assert field in err
 
     @pytest.mark.parametrize("command", ["eval", "eval-reorder"])
     def test_predictions_matching_no_instance_exit_1(

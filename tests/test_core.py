@@ -4,7 +4,7 @@ independent brute-force oracles."""
 import functools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rewritebench.core import (
     Alphabet,
@@ -146,6 +146,14 @@ class TestLevenshtein:
     @settings(max_examples=150)
     def test_matches_naive_oracle(self, a, b):
         assert levenshtein(a, b) == naive_levenshtein(a, b)
+
+    @given(short_text, short_text, short_text, short_text)
+    @settings(max_examples=100)
+    def test_shared_prefix_and_suffix_cost_nothing(self, prefix, a, b, suffix):
+        assume(a != b)
+        x, y = prefix + a + suffix, prefix + b + suffix
+        assert levenshtein(x, y) == naive_levenshtein(x, y)
+        assert levenshtein(x, y) == naive_levenshtein(a, b)
 
     @given(short_text, short_text, short_text)
     @settings(max_examples=100)

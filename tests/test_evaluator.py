@@ -1,13 +1,16 @@
 """Evaluator tests: extraction, normalization, scoring, the pass@k
 estimator against an enumeration oracle, and the breakdown reports."""
 
+import ast
 import itertools
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rewritebench.core import RewriteRule, apply_cascade
 from rewritebench.evaluator import (
+    _PLAIN_RE,
     INVALID_CATEGORY,
     aggregate_pbe,
     aggregate_reorder,
@@ -94,6 +97,181 @@ class TestExtraction:
     def test_no_language_tag(self):
         text = "```\n[\"replace('a','b')\"]\n```"
         assert extract_pbe_prediction(text) == (RewriteRule("a", "b"),)
+
+
+class TestPathologicalReplies:
+    """Replies that make the parsers recurse too deep, run out of memory or
+    build an unhashable set count as holding no answer."""
+
+    def test_deeply_nested_json_array(self):
+        depth = 100_000
+        text = "```json\n" + "[" * depth + "]" * depth + "\n```"
+        assert extract_permutation(text, 3) is None
+
+    @pytest.mark.parametrize("signs", [3_000, 10_000])
+    def test_long_chain_of_unary_minus(self, signs):
+        text = "```python\n[" + "-" * signs + "1]\n```"
+        assert extract_pbe_prediction(text) is None
+
+    def test_unhashable_set_element(self):
+        assert extract_pbe_prediction("```python\n[{{}}]\n```") is None
+
+
+# The extraction as it stood before plain literals were read directly: every
+# literal goes through ast.literal_eval. The error tuple is the one the
+# evaluator now catches; the older code let TypeError, MemoryError and
+# RecursionError through.
+_REF_FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+_REF_QUOTED = r"""(?:'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*")"""
+_REF_RULE_RE = re.compile(
+    rf"^\s*replace\s*\(\s*({_REF_QUOTED})\s*,\s*({_REF_QUOTED})\s*\)\s*$"
+)
+_REF_LIST_RE = re.compile(r"\[[^\[\]]*\]", re.DOTALL)
+_REF_ERRORS = (ValueError, TypeError, SyntaxError, MemoryError, RecursionError)
+
+
+def reference_parse_rule_string(text):
+    m = _REF_RULE_RE.match(text)
+    if not m:
+        return None
+    try:
+        source = ast.literal_eval(m.group(1))
+        target = ast.literal_eval(m.group(2))
+    except _REF_ERRORS:
+        return None
+    if not isinstance(source, str) or not isinstance(target, str):
+        return None
+    return RewriteRule(source, target)
+
+
+def reference_cascade_from_block(body):
+    result = None
+    for candidate in _REF_LIST_RE.findall(body):
+        try:
+            items = ast.literal_eval(candidate)
+        except _REF_ERRORS:
+            continue
+        if not isinstance(items, list):
+            continue
+        if not all(isinstance(x, str) for x in items):
+            continue
+        rules = [reference_parse_rule_string(x) for x in items]
+        if any(r is None for r in rules):
+            continue
+        result = tuple(rules)
+    return result
+
+
+def reference_extract_pbe_prediction(text):
+    last = None
+    for m in _REF_FENCE_RE.finditer(text or ""):
+        cascade = reference_cascade_from_block(m.group(1))
+        if cascade is not None:
+            last = cascade
+    return last
+
+
+# Pieces of replies: quotes, escapes, the characters that end the direct
+# reading of a literal, comments, prefixes, separators and fences.
+_PIECES = [
+    "'", '"', "\\", "\\'", '\\"', "\\n", "\\N{BULLET}", "\\x41", "\x00",
+    "\r", "\n", "\t", "\x0c", "\ud800", "#", "b'", "r'", "f'", "u'", "```",
+    "```python\n", "[", "]", "{", "}", ",", " ", "replace(", ")", "a", "ab",
+    "\u00e9", "'a'", '"b"', "replace('a','b')", "\"replace('a','b')\"",
+    "'replace(\"a\",\"b\")'", "1", "-", "None",
+]
+_soup = st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)
+_plain_body = st.text(alphabet="ab #,\u00e9", max_size=3)
+_body = st.one_of(
+    _plain_body,
+    _plain_body,
+    st.lists(
+        st.sampled_from(["a", "'", '"', "\\", "\x00", "\n", "\r", "\x0c",
+                         "\ud800"]),
+        max_size=4,
+    ).map("".join),
+)
+_quote = st.sampled_from(["'", '"'])
+_rule_text = st.builds(
+    lambda q1, a, q2, b, gap: f"replace({q1}{a}{q1},{gap}{q2}{b}{q2})",
+    _quote, _body, _quote, _body, st.sampled_from(["", " "]),
+)
+
+
+@st.composite
+def _item(draw):
+    """A quoted list element: mostly a replace call whose arguments use the
+    other quote kind, sometimes any quoted rule text or body."""
+    outer = draw(_quote)
+    if draw(st.integers(0, 3)) == 0:
+        return outer + draw(st.one_of(_rule_text, _body)) + outer
+    inner = "'" if outer == '"' else '"'
+    source, target = draw(_body), draw(_body)
+    return f"{outer}replace({inner}{source}{inner}, {inner}{target}{inner}){outer}"
+
+
+@st.composite
+def _list_reply(draw):
+    """A fenced list of quoted items with separators that do and do not keep
+    the direct reading: no comma between two literals concatenates them."""
+    items = draw(st.lists(_item(), max_size=4))
+    text = "["
+    for i, item in enumerate(items):
+        text += draw(st.sampled_from(["", " ", "\n"])) + item
+        if i < len(items) - 1:
+            text += draw(st.sampled_from(
+                [",", ", ", ",\n", "", " ", " ,", "\n,\t", ",,", "\r,", "\x0c,"]
+            ))
+    text += draw(st.sampled_from(["", ",", " ,", ", \n"])) + "]"
+    return f"```python\n{text}\n```"
+
+
+# ast.literal_eval warns about the backslash pieces it reads.
+@pytest.mark.filterwarnings("ignore:invalid escape sequence")
+class TestPlainLiteralReading:
+    """Reading plain literals directly gives what ast.literal_eval gives."""
+
+    @given(st.one_of(_soup, _soup.map(lambda t: f"```python\n[{t}]\n```")))
+    @settings(max_examples=300)
+    def test_extraction_matches_literal_eval(self, text):
+        assert extract_pbe_prediction(text) == (
+            reference_extract_pbe_prediction(text)
+        )
+
+    @given(_list_reply())
+    @example("```python\n[\"replace('a','b')\" \"replace('c','d')\"]\n```")
+    @example("```python\n[\"replace('a','b')\" ,\n\t'replace(\"c\",\"d\")',]\n```")
+    @example("```python\n[,]\n```")
+    @example("```python\n[\"replace('a','b')\",,]\n```")
+    @settings(max_examples=300)
+    def test_list_extraction_matches_literal_eval(self, text):
+        assert extract_pbe_prediction(text) == (
+            reference_extract_pbe_prediction(text)
+        )
+
+    @given(st.one_of(_soup, _soup.map(lambda t: f"replace({t})"), _rule_text))
+    @settings(max_examples=300)
+    def test_rule_parsing_matches_literal_eval(self, text):
+        assert parse_rule_string(text) == reference_parse_rule_string(text)
+
+    @given(st.one_of(
+        st.characters(),
+        st.characters(categories=["Cs"]),
+        st.sampled_from(["\\", "\x00", "\n", "\r"]),
+    ), _quote)
+    def test_direct_reading_needs_a_character_that_reads_as_itself(
+        self, char, quote
+    ):
+        token = quote + char + quote
+        try:
+            reads_as_itself = ast.literal_eval(token) == char
+        except (ValueError, SyntaxError):
+            reads_as_itself = False
+        if char == quote:
+            # Two quotes then a third: never one plain literal.
+            assert _PLAIN_RE.fullmatch(token) is None
+        else:
+            assert (_PLAIN_RE.fullmatch(token) is not None) == reads_as_itself
 
 
 class TestNormalization:
