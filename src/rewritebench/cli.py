@@ -257,6 +257,21 @@ def _scored(kind: str, command: str, dataset_path: str,
     return pairs
 
 
+def _records(pairs: list[tuple], attempts_path: Optional[str]) -> list[EvalRecord]:
+    """The PBE eval dicts of ``pairs`` as records; a field of the wrong type
+    is an error in the attempts file."""
+    records = []
+    for _, e in pairs:
+        try:
+            records.append(EvalRecord.from_dict(e))
+        except TypeError as exc:
+            raise CliError(
+                f"attempts file {attempts_path} holds a malformed eval for "
+                f"{e.get('instance_id')!r}: {exc}"
+            )
+    return records
+
+
 def _cmd_eval(args, kind: str) -> int:
     if not (args.attempts or args.predictions):
         raise CliError(f"{args.command} needs --attempts or --predictions")
@@ -264,7 +279,7 @@ def _cmd_eval(args, kind: str) -> int:
         kind, args.command, args.dataset, args.attempts, args.predictions
     )
     if kind == "pbe":
-        metrics = aggregate_pbe([EvalRecord.from_dict(e) for _, e in pairs])
+        metrics = aggregate_pbe(_records(pairs, args.attempts))
     else:
         metrics = aggregate_reorder(
             [(inst, bool(e.get("passed"))) for inst, e in pairs]
@@ -275,7 +290,7 @@ def _cmd_eval(args, kind: str) -> int:
 
 def _cmd_report(args) -> int:
     pairs = _scored("pbe", args.command, args.dataset, args.attempts)
-    records = [EvalRecord.from_dict(e) for _, e in pairs]
+    records = _records(pairs, args.attempts)
     metrics = aggregate_pbe(records)
     bundle = breakdown_reports(records, [inst for inst, _ in pairs])
     _write_json(

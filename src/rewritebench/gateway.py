@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -112,7 +113,7 @@ Your ordering must be a permutation of [0, 1, ..., {n_minus_1}].
 
 
 def _string_list(items: Sequence[str]) -> str:
-    return "[" + ", ".join(json.dumps(s) for s in items) + "]"
+    return json.dumps(list(items))
 
 
 def render_pbe_prompt(instance: PbeInstance, s_max: int, L_max: int) -> str:
@@ -240,7 +241,8 @@ class MockChatBackend:
 
     ``script`` is a sequence of BackendResult objects, plain strings
     (wrapped as successful responses), or exceptions to raise; consumed in
-    order, with the final entry repeated once exhausted.
+    order, with the final entry repeated once exhausted. Each send takes
+    the next entry, concurrent sends included.
     """
 
     def __init__(self, script: Sequence):
@@ -249,6 +251,7 @@ class MockChatBackend:
         self.script = list(script)
         self.calls: list[dict] = []
         self._cursor = 0
+        self._lock = threading.Lock()
 
     @staticmethod
     def ok(text: str, finish_reason: str = "stop") -> BackendResult:
@@ -266,9 +269,10 @@ class MockChatBackend:
         )
 
     def send(self, config: SolverConfig, body: dict) -> BackendResult:
-        self.calls.append(body)
-        entry = self.script[min(self._cursor, len(self.script) - 1)]
-        self._cursor += 1
+        with self._lock:
+            self.calls.append(body)
+            entry = self.script[min(self._cursor, len(self.script) - 1)]
+            self._cursor += 1
         if isinstance(entry, Exception):
             raise entry
         if isinstance(entry, str):
@@ -482,20 +486,49 @@ def solve_dataset(
     identity_symbol: str = "a",
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[list[Optional[AttemptLog]], list[AttemptLog]]:
-    """Solve every instance, up to max_in_flight concurrently.
+    """Solve every instance on max_in_flight worker threads.
 
+    Each worker takes the next instance not yet taken until none is left.
     Results are returned in instance order regardless of completion order.
+    Once a worker raises, or the waiting caller is interrupted, no worker
+    starts another instance; the first such exception is re-raised after
+    the instances already started have finished.
     """
+    results: list = [None] * len(instances)
+    indices = iter(range(len(instances)))
+    lock = threading.Lock()
+    failures: list[BaseException] = []
 
-    def work(inst):
-        return solve_with_budget(
-            inst, config, backend, task_kind,
-            s_max=s_max, L_max=L_max,
-            identity_symbol=identity_symbol, sleep=sleep,
-        )
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = solve_with_budget(
+                    instances[i], config, backend, task_kind,
+                    s_max=s_max, L_max=L_max,
+                    identity_symbol=identity_symbol, sleep=sleep,
+                )
+            except BaseException as exc:
+                with lock:
+                    failures.append(exc)
+                return
 
     with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        results = list(pool.map(work, instances))
+        try:
+            workers = [
+                pool.submit(work)
+                for _ in range(min(config.max_in_flight, len(instances)))
+            ]
+            for worker in workers:
+                worker.result()
+        except BaseException as exc:
+            with lock:
+                failures.append(exc)
+    if failures:
+        raise failures[0]
     selected = [sel for sel, _ in results]
     all_logs = [log for _, logs in results for log in logs]
     return selected, all_logs

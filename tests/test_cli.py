@@ -535,6 +535,35 @@ class TestSolveEvalReport:
         assert "corrupt attempt log at line 2" in err
         assert field in err
 
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("field, value", [
+        ("edit_sim", "x"), ("valid_rate_contrib", True), ("pred_length", [1]),
+        ("complexity", 1.5), ("passed", 1), ("pred_category", None),
+    ])
+    def test_eval_field_of_the_wrong_type_exits_1(
+        self, datasets, tmp_path, capsys, command, field, value
+    ):
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(["no answer"]))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve", "--dataset", str(datasets["eval"]),
+            "--out", str(attempts), "--mock", str(mock),
+        )
+        assert code == 0, err
+        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
+        logs[1]["eval"][field] = value
+        attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
+        code, out, err = run(
+            capsys, command, "--dataset", str(datasets["eval"]),
+            "--attempts", str(attempts),
+        )
+        assert code == 1, err
+        assert out == ""
+        assert f"attempts file {attempts}" in err
+        assert logs[1]["instance_id"] in err
+        assert field in err
+
     @pytest.mark.parametrize("command", ["eval", "eval-reorder"])
     def test_predictions_matching_no_instance_exit_1(
         self, datasets, tmp_path, capsys, command

@@ -12,6 +12,7 @@ from rewritebench.core import RewriteRule, apply_cascade
 from rewritebench.evaluator import (
     _PLAIN_RE,
     INVALID_CATEGORY,
+    EvalRecord,
     aggregate_pbe,
     aggregate_reorder,
     breakdown_reports,
@@ -380,6 +381,36 @@ class TestEvaluatePbe:
             (RewriteRule("ab", "c"), RewriteRule("x", "")), 3, 5, "a"
         )
         assert evaluate_pbe(inst, norm).complexity == 4
+
+
+class TestEvalRecordFromDict:
+    def _record(self):
+        inst = make_instance([("ab", "c")], ["abab"])
+        return evaluate_pbe(inst, normalize_cascade((RewriteRule("a", "b"),), 3, 5, "a"))
+
+    def test_round_trip(self):
+        record = self._record()
+        assert EvalRecord.from_dict(record.to_dict()) == record
+
+    def test_integral_number_accepted(self):
+        data = dict(self._record().to_dict(), edit_sim=0, valid_rate_contrib=1)
+        assert EvalRecord.from_dict(data).edit_sim == 0
+
+    @pytest.mark.parametrize("field, value, what", [
+        ("instance_id", 5, "a string"),
+        ("pred_category", None, "a string"),
+        ("passed", 1, "a boolean"),
+        ("degenerate_denominator", "false", "a boolean"),
+        ("complexity", 1.0, "an integer"),
+        ("pred_length", [1], "an integer"),
+        ("attempt_index", False, "an integer"),
+        ("edit_sim", "x", "a number"),
+        ("valid_rate_contrib", True, "a number"),
+    ])
+    def test_wrong_type_rejected(self, field, value, what):
+        data = dict(self._record().to_dict(), **{field: value})
+        with pytest.raises(TypeError, match=f"^{field} .* is not {what}$"):
+            EvalRecord.from_dict(data)
 
 
 class TestAggregation:

@@ -1,8 +1,13 @@
 """Gateway tests: golden prompt files, retry behaviour, budgeted solving
-with the selection rules, and JSONL persistence/replay."""
+with the selection rules, concurrent solving of a dataset, and JSONL
+persistence/replay."""
 
 import json
 import pathlib
+import signal
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +28,7 @@ from rewritebench.gateway import (
     render_pbe_prompt,
     render_reorder_prompt,
     select_attempt,
+    solve_dataset,
     solve_with_budget,
 )
 from rewritebench.permuter import ReorderInstance
@@ -321,6 +327,204 @@ class TestSolveWithBudget:
             assert score_attempt(
                 inst, lg.raw_text, kind, 3, 5, "a", lg.attempt_index
             ) == (lg.eval, lg.extracted)
+
+
+class PromptKeyedBackend:
+    """Replies by (prompt, number of earlier sends of that prompt), so a
+    prompt gets the same replies whichever worker thread sends it.
+
+    ``reply(prompt, k)`` gives the text. Each send waits ``delay`` seconds;
+    the ``fail_on``-th send (counted from 1) runs ``fail(self)`` instead,
+    which may raise. ``peak`` is the most sends ever in flight at once.
+    """
+
+    def __init__(self, reply, delay=0.0, fail_on=None, fail=None):
+        self.reply = reply
+        self.delay = delay
+        self.fail_on = fail_on
+        self.fail = fail
+        self.sends: dict[str, int] = {}
+        self.calls = 0
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def send(self, config, body):
+        prompt = body["messages"][0]["content"]
+        with self._lock:
+            k = self.sends.get(prompt, 0)
+            self.sends[prompt] = k + 1
+            self.calls += 1
+            n = self.calls
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            if n == self.fail_on:
+                self.fail(self)
+            if self.delay:
+                time.sleep(self.delay)
+            return MockChatBackend.ok(self.reply(prompt, k))
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def pbe_set(n):
+    """n PBE instances with distinct prompts and a prompt-keyed reply
+    function mixing passes, near misses, no-ops and missing blocks."""
+    rule_sets = [[("ab", "c"), ("c", "ba")], [("a", "bc"), ("bc", "b")],
+                 [("ba", ""), ("a", "cc")]]
+    instances = [
+        make_instance(rule_sets[i % 3], ["ab" * (1 + i), "bca" + "a" * i],
+                      id=f"pbe-{i}")
+        for i in range(n)
+    ]
+    by_prompt = {
+        render_pbe_prompt(inst, s_max=3, L_max=5): (pos, inst)
+        for pos, inst in enumerate(instances)
+    }
+    assert len(by_prompt) == n
+
+    def reply(prompt, k):
+        pos, inst = by_prompt[prompt]
+        cascade = inst.cascade
+        return [
+            gt_response(inst),
+            gt_response(make_instance([(r.source, r.target) for r in cascade[:1]], ["a"])),
+            "```python\n[\"replace('x','y')\"]\n```",
+            "no block here",
+            gt_response(make_instance(
+                [(r.source, r.target) for r in reversed(cascade)], ["a"])),
+        ][(pos + 2 * k) % 5]
+
+    return instances, reply
+
+
+def reorder_set(n):
+    """n reorder instances with distinct prompts and a prompt-keyed reply
+    function mixing right, wrong and unreadable orders."""
+    instances = [
+        ReorderInstance(
+            source_id=f"reorder-{i}", inputs=("a" * (1 + i),),
+            outputs=("x" * (1 + i),),
+            scrambled=(RewriteRule("bc", "x"), RewriteRule("a", "bc")),
+            gt_order=(1, 0),
+        )
+        for i in range(n)
+    ]
+    by_prompt = {
+        render_reorder_prompt(inst): pos for pos, inst in enumerate(instances)
+    }
+    assert len(by_prompt) == n
+
+    def reply(prompt, k):
+        return ["```json\n[1,0]\n```", "```json\n[0,1]\n```",
+                "```json\n[0,0]\n```", "no block here"][(by_prompt[prompt] + k) % 4]
+
+    return instances, reply
+
+
+DATASETS = {"pbe": pbe_set, "reorder": reorder_set}
+
+
+class TestSolveDataset:
+    @pytest.mark.parametrize("kind", ["pbe", "reorder"])
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+    def test_same_results_as_a_serial_loop(self, kind, max_in_flight):
+        instances, reply = DATASETS[kind](24)
+        config = SolverConfig(sampling_budget=3, max_in_flight=max_in_flight)
+        serial_backend = PromptKeyedBackend(reply)
+        serial = [
+            solve_with_budget(inst, config, serial_backend, kind,
+                              sleep=lambda _: None)
+            for inst in instances
+        ]
+        selected, logs = solve_dataset(
+            instances, config, PromptKeyedBackend(reply), kind,
+            sleep=lambda _: None,
+        )
+        assert [s.to_dict() for s in selected] == [
+            sel.to_dict() for sel, _ in serial
+        ]
+        assert [lg.to_dict() for lg in logs] == [
+            lg.to_dict() for _, attempt_logs in serial for lg in attempt_logs
+        ]
+        assert {s.eval["passed"] for s in selected} == {True, False}
+
+    def test_no_instances(self):
+        config = SolverConfig(max_in_flight=2)
+        assert solve_dataset([], config, MockChatBackend(["x"]), "pbe") == ([], [])
+
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+    def test_peak_sends_in_flight_is_max_in_flight(self, max_in_flight):
+        instances, reply = DATASETS["pbe"](12)
+        backend = PromptKeyedBackend(reply, delay=0.02)
+        config = SolverConfig(sampling_budget=2, max_in_flight=max_in_flight)
+        solve_dataset(instances, config, backend, "pbe", sleep=lambda _: None)
+        assert backend.calls == 24
+        assert backend.peak == max_in_flight
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyboardInterrupt()])
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+    def test_backend_error_stops_the_run(self, error, max_in_flight):
+        instances, reply = DATASETS["pbe"](128)
+        budget = 2
+
+        def fail(backend):
+            raise error
+
+        backend = PromptKeyedBackend(reply, fail_on=5, fail=fail)
+        config = SolverConfig(sampling_budget=budget, max_in_flight=max_in_flight)
+        with pytest.raises(type(error)) as raised:
+            solve_dataset(instances, config, backend, "pbe", sleep=lambda _: None)
+        assert raised.value is error
+        # Each other worker finishes the instance it is in, and at most one
+        # more taken before the failure was recorded.
+        assert backend.calls <= 5 + (max_in_flight - 1) * 2 * budget
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "pthread_kill")
+        or signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
+        reason="needs SIGINT to raise KeyboardInterrupt in the main thread",
+    )
+    def test_interrupted_caller_stops_the_run(self):
+        instances, reply = DATASETS["pbe"](64)
+
+        def interrupt(backend):
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        backend = PromptKeyedBackend(reply, delay=0.005, fail_on=3, fail=interrupt)
+        config = SolverConfig(sampling_budget=1, max_in_flight=2)
+        with pytest.raises(KeyboardInterrupt):
+            solve_dataset(instances, config, backend, "pbe", sleep=lambda _: None)
+        assert backend.calls < 16
+
+
+class TestMockChatBackend:
+    def test_concurrent_sends_take_distinct_entries(self):
+        threads, per_thread = 4, 1000
+        backend = MockChatBackend([str(i) for i in range(threads * per_thread)])
+        config = SolverConfig()
+        texts = []
+
+        def hammer():
+            mine = [backend.send(config, {}).payload["choices"][0]["message"]
+                    ["content"] for _ in range(per_thread)]
+            texts.extend(mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert sorted(texts, key=int) == [str(i) for i in range(threads * per_thread)]
+        assert len(backend.calls) == threads * per_thread
 
 
 def reference_select(logs, task_kind):
