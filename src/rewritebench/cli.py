@@ -25,6 +25,7 @@ from .evaluator import (
     aggregate_pbe,
     aggregate_reorder,
     breakdown_reports,
+    check_reorder_eval,
     score_attempt,
 )
 from .gateway import (
@@ -209,32 +210,41 @@ def _run_solve(args, task_kind: str) -> int:
 def _scored(kind: str, command: str, dataset_path: str,
             attempts_path: Optional[str],
             predictions_path: Optional[str] = None) -> list[tuple]:
-    """(instance, eval dict) pairs in dataset order.
+    """(instance, eval) pairs in dataset order: an ``EvalRecord`` for PBE,
+    the eval dict ``check_reorder_eval`` passed for reorder.
 
     From an attempt log: the selected attempt of each instance that has
     one, skipping a selection with no eval; an eval not of the shape
-    ``score_attempt`` stores for ``kind`` is an error. From a predictions
+    ``score_attempt`` stores for ``kind``, or a field of the wrong type in
+    it or in any log selection reads, is an error. From a predictions
     file (an object mapping instance id to response text, null meaning no
     response): every instance, scored by ``score_attempt``; the file must
     name at least one instance of the dataset.
     """
     instances, ids, limits = _load_task(dataset_path, kind, command)
+    decode = EvalRecord.from_dict if kind == "pbe" else check_reorder_eval
     pairs = []
     if attempts_path:
         by_instance: dict[str, list] = {}
         for log in load_attempts(attempts_path):
             by_instance.setdefault(log.instance_id, []).append(log)
         for inst, inst_id in zip(instances, ids):
-            chosen = select_attempt(by_instance.get(inst_id, ()), kind)
-            if chosen is None or chosen.eval is None:
-                continue
-            if chosen.eval.keys() != EVAL_KEYS[kind]:
+            try:
+                chosen = select_attempt(by_instance.get(inst_id, ()), kind)
+                if chosen is None or chosen.eval is None:
+                    continue
+                if chosen.eval.keys() != EVAL_KEYS[kind]:
+                    raise CliError(
+                        f"attempts file {attempts_path} does not hold {kind} "
+                        f"attempts: the eval of {inst_id} has keys "
+                        f"{sorted(chosen.eval)}"
+                    )
+                pairs.append((inst, decode(chosen.eval)))
+            except TypeError as exc:
                 raise CliError(
-                    f"attempts file {attempts_path} does not hold {kind} "
-                    f"attempts: the eval of {inst_id} has keys "
-                    f"{sorted(chosen.eval)}"
+                    f"attempts file {attempts_path} holds a malformed attempt "
+                    f"for {inst_id!r}: {exc}"
                 )
-            pairs.append((inst, chosen.eval))
     else:
         preds = _load_json(predictions_path)
         if not isinstance(preds, dict) or not all(
@@ -251,25 +261,10 @@ def _scored(kind: str, command: str, dataset_path: str,
             )
         for inst, inst_id in zip(instances, ids):
             eval_dict, _ = score_attempt(inst, preds.get(inst_id), kind, **limits)
-            pairs.append((inst, eval_dict))
+            pairs.append((inst, decode(eval_dict)))
     if not pairs:
         raise CliError("no scored attempts match the dataset")
     return pairs
-
-
-def _records(pairs: list[tuple], attempts_path: Optional[str]) -> list[EvalRecord]:
-    """The PBE eval dicts of ``pairs`` as records; a field of the wrong type
-    is an error in the attempts file."""
-    records = []
-    for _, e in pairs:
-        try:
-            records.append(EvalRecord.from_dict(e))
-        except TypeError as exc:
-            raise CliError(
-                f"attempts file {attempts_path} holds a malformed eval for "
-                f"{e.get('instance_id')!r}: {exc}"
-            )
-    return records
 
 
 def _cmd_eval(args, kind: str) -> int:
@@ -279,18 +274,16 @@ def _cmd_eval(args, kind: str) -> int:
         kind, args.command, args.dataset, args.attempts, args.predictions
     )
     if kind == "pbe":
-        metrics = aggregate_pbe(_records(pairs, args.attempts))
+        metrics = aggregate_pbe([record for _, record in pairs])
     else:
-        metrics = aggregate_reorder(
-            [(inst, bool(e.get("passed"))) for inst, e in pairs]
-        )
+        metrics = aggregate_reorder([(inst, e["passed"]) for inst, e in pairs])
     _write_json({"metrics": metrics.to_dict()}, args.out)
     return 0
 
 
 def _cmd_report(args) -> int:
     pairs = _scored("pbe", args.command, args.dataset, args.attempts)
-    records = _records(pairs, args.attempts)
+    records = [record for _, record in pairs]
     metrics = aggregate_pbe(records)
     bundle = breakdown_reports(records, [inst for inst, _ in pairs])
     _write_json(
@@ -307,6 +300,10 @@ def _cmd_report(args) -> int:
 def _cmd_verify_relations(args) -> int:
     if args.pairs < 1:
         raise CliError("--pairs must be at least 1")
+    if args.min_len < 1:
+        raise CliError("--min-len must be at least 1")
+    if args.min_len > args.max_len:
+        raise CliError(f"--min-len {args.min_len} exceeds --max-len {args.max_len}")
     rng = random.Random(args.seed)
     alphabet = Alphabet.from_string(args.alphabet)
     counts = {

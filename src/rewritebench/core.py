@@ -113,14 +113,6 @@ def apply_cascade(
     return current
 
 
-def count_occurrences(pattern: str, s: str) -> int:
-    """Non-overlapping left-to-right occurrence count, matching the scan used
-    by ``apply_rule``."""
-    if not pattern:
-        raise EmptySourceError("occurrence count is undefined for an empty pattern")
-    return s.count(pattern)
-
-
 def string_sets(s: str) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     """Deduplicated sets of the non-empty substrings, prefixes, and suffixes
     of ``s``.

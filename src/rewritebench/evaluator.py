@@ -339,6 +339,21 @@ def evaluate_reorder(
     return tuple(apply_cascade(cascade, instance.inputs)) == instance.outputs
 
 
+def check_reorder_eval(data: dict) -> dict:
+    """``data``, a reorder eval with the keys ``score_attempt`` stores;
+    TypeError if a field has the wrong type."""
+    passed, perm, index = data["passed"], data["perm"], data["attempt_index"]
+    if type(passed) is not bool:
+        raise TypeError(f"passed {passed!r} is not a boolean")
+    if perm is not None and not (
+        type(perm) is list and all(type(i) is int for i in perm)
+    ):
+        raise TypeError(f"perm {perm!r} is neither null nor a list of integers")
+    if type(index) is not int:
+        raise TypeError(f"attempt_index {index!r} is not an integer")
+    return data
+
+
 # The keys of the eval dict ``score_attempt`` stores, per task kind.
 EVAL_KEYS = {
     "pbe": frozenset(f.name for f in fields(EvalRecord)),

@@ -211,9 +211,7 @@ class HttpChatBackend:
                 headers=headers,
                 timeout=config.timeout_ms / 1000.0,
             )
-        except requests.ConnectionError as exc:
-            raise TransientBackendError(str(exc)) from exc
-        except requests.Timeout as exc:
+        except (requests.ConnectionError, requests.Timeout) as exc:
             raise TransientBackendError(str(exc)) from exc
         try:
             payload = resp.json()
@@ -455,25 +453,34 @@ def select_attempt(logs: Sequence[AttemptLog], task_kind: str) -> Optional[Attem
     attempt with the highest edit similarity (PBE) or with an extracted
     answer (reorder) wins, ties going to the lowest index; a PBE log with
     no eval ranks below every scored one. The result does not depend on
-    the order of ``logs``.
+    the order of ``logs``. Every log's ``passed``, and its ``edit_sim``
+    (PBE) or ``extracted`` (reorder), is checked: a value of the wrong type
+    raises TypeError naming the attempt and the field.
     """
-    best = None
+    pbe = task_kind == "pbe"
+    name, types, what = (
+        ("edit_sim", (int, float), "a number") if pbe
+        else ("extracted", (bool,), "a boolean")
+    )
+    best = best_rank = None
     for log in logs:
-        if log.eval and log.eval.get("passed") and (
-            best is None or log.attempt_index < best.attempt_index
-        ):
-            best = log
-    if best is not None or not logs:
-        return best
-    if task_kind == "pbe":
-        return max(
-            logs,
-            key=lambda lg: (
-                lg.eval.get("edit_sim", -math.inf) if lg.eval else -math.inf,
-                -lg.attempt_index,
-            ),
-        )
-    return max(logs, key=lambda lg: (lg.extracted, -lg.attempt_index))
+        e = log.eval or {}
+        passed = e.get("passed", False)
+        score = e.get("edit_sim", -math.inf) if pbe else log.extracted
+        if type(passed) is not bool:
+            raise TypeError(
+                f"attempt {log.attempt_index}: passed {passed!r} is not a boolean"
+            )
+        if type(score) not in types:
+            raise TypeError(
+                f"attempt {log.attempt_index}: {name} {score!r} is not {what}"
+            )
+        # Passing beats failing; then the lowest index among passes, the
+        # best score among failures, and the lowest index among equals.
+        rank = (passed, 0 if passed else score, -log.attempt_index)
+        if best is None or rank > best_rank:
+            best, best_rank = log, rank
+    return best
 
 
 def solve_dataset(

@@ -22,6 +22,7 @@ from .core import (
     encode_rules,
 )
 from .proposer import Dataset, PbeInstance
+from .relations import _fresh_symbol
 
 
 class CapacityError(ValueError):
@@ -132,12 +133,7 @@ def count_valid_orders(instance: ReorderInstance, cap: int = 40320) -> int:
         *instance.inputs, *instance.outputs,
         *(rule.source + rule.target for rule in rules),
     )))
-    # The lowest code point in no string; one is free whenever the strings
-    # hold fewer than all 0x110000 code points.
-    code = 0
-    while chr(code) in used:
-        code += 1
-    sep = chr(code)
+    sep = _fresh_symbol(used)
     outputs = "".join(s + sep for s in instance.outputs)
     steps = [(1 << i, rule.source, rule.target) for i, rule in enumerate(rules)]
     memo: dict[tuple[int, str], int] = {}

@@ -118,26 +118,23 @@ def classify_bfcc(cascade: Sequence[RewriteRule]) -> tuple[CategoryString, list[
     sets the forward bit, i > j the counter bit.
     """
     edges: list[RelationEdge] = []
-    m = len(cascade)
-    if m > 1 and not all(rule.source for rule in cascade):
+    if len(cascade) > 1 and not all(rule.source for rule in cascade):
         raise EmptySourceError("classify_bfcc() requires every find pattern")
+    mask = 0
     for i, first in enumerate(cascade):
         s_i, t_i = first.source, first.target
         for j, second in enumerate(cascade):
             if i == j:
                 continue
             s_j = second.source
+            feed, bleed = (8, 4) if i < j else (2, 1)
             if _creates_sites(s_i, t_i, s_j):
                 edges.append(RelationEdge(i, FEEDING, j))
+                mask |= feed
             if _creates_sites(t_i, s_i, s_j):
                 edges.append(RelationEdge(i, BLEEDING, j))
-    present = {(e.kind, e.i < e.j) for e in edges}
-    category = CategoryString(*(
-        (kind, forward) in present
-        for forward in (True, False)
-        for kind in (FEEDING, BLEEDING)
-    ))
-    return category, edges
+                mask |= bleed
+    return _CATEGORY_OF_MASK[mask], edges
 
 
 # The category of each bit mask, in render order: f = 8, b = 4, cf = 2, cb = 1.
@@ -224,11 +221,13 @@ def _kmp_step(pattern: str, k: int, c: str) -> int:
 
 
 def _witness(
-    first: RewriteRule, second: RewriteRule, max_len: int, sign: int
+    first: RewriteRule, second: RewriteRule, max_len: int, sign: int, caller: str
 ) -> Optional[str]:
     """The shortest, then lexicographically first, string of length
     1..max_len over ``_oracle_alphabet`` on which applying ``first`` changes
-    the occurrence count of ``second.source`` by an amount of sign ``sign``.
+    the occurrence count of ``second.source`` by an amount of sign ``sign``;
+    None when ``first.source`` is empty. An empty ``second.source`` raises
+    ``EmptySourceError`` naming ``caller``.
 
     ``str.replace(s, t)`` is a leftmost, non-overlapping rewrite, so it runs
     as a transducer whose state is the KMP state of ``s``: the pending
@@ -244,6 +243,12 @@ def _witness(
     witness is then spelled greedily, smallest symbol first. The search is
     exact: it returns what enumerating every string would.
     """
+    if not second.source:
+        raise EmptySourceError(f"{caller}() requires the second rule's find pattern")
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    if not first.source:
+        return None
     s, t, u = first.source, first.target, second.source
     alphabet = _oracle_alphabet(first, second)
     rewrite = []  # per transducer state and symbol: (next state, emitted text)
@@ -320,13 +325,7 @@ def oracle_feeds(
     both rules plus one fresh symbol, exactly (see ``_witness``); returns
     the shortest (then lexicographically first) witness, or None.
     """
-    if not second.source:
-        raise EmptySourceError("oracle_feeds() requires the second rule's find pattern")
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    if not first.source:
-        return None
-    return _witness(first, second, max_len, 1)
+    return _witness(first, second, max_len, 1, "oracle_feeds")
 
 
 def oracle_bleeds(
@@ -334,13 +333,7 @@ def oracle_bleeds(
 ) -> Optional[str]:
     """Search for a string on which applying ``first`` strictly decreases the
     occurrence count of ``second.source``."""
-    if not second.source:
-        raise EmptySourceError("oracle_bleeds() requires the second rule's find pattern")
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    if not first.source:
-        return None
-    return _witness(first, second, max_len, -1)
+    return _witness(first, second, max_len, -1, "oracle_bleeds")
 
 
 def default_oracle_bound(first: RewriteRule, second: RewriteRule) -> int:

@@ -564,6 +564,69 @@ class TestSolveEvalReport:
         assert logs[1]["instance_id"] in err
         assert field in err
 
+    @pytest.mark.parametrize("command, solve, field, value", [
+        ("report", "solve", "edit_sim", "x"),
+        ("eval-reorder", "solve-reorder", "passed", "false"),
+        ("eval-reorder", "solve-reorder", "extracted", "no"),
+    ])
+    def test_field_selection_reads_of_the_wrong_type_exits_1(
+        self, datasets, tmp_path, capsys, command, solve, field, value
+    ):
+        """The bad value sits on attempt 1 of the first instance, which
+        attempt 0 wins over when no attempt passes."""
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(["no answer"]))
+        config = tmp_path / "solver.json"
+        config.write_text(json.dumps({"max_in_flight": 1}))
+        attempts = tmp_path / "att.jsonl"
+        dataset = datasets["eval" if command == "report" else command]
+        code, _, err = run(
+            capsys, solve, "--dataset", str(dataset), "--out", str(attempts),
+            "--mock", str(mock), "--config", str(config), "--budget", "2",
+        )
+        assert code == 0, err
+        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
+        assert (logs[1]["instance_id"], logs[1]["attempt_index"]) == (
+            logs[0]["instance_id"], 1)
+        (logs[1] if field == "extracted" else logs[1]["eval"])[field] = value
+        attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
+        code, out, err = run(
+            capsys, command, "--dataset", str(dataset),
+            "--attempts", str(attempts),
+        )
+        assert code == 1, err
+        assert out == ""
+        assert f"attempts file {attempts}" in err
+        assert logs[1]["instance_id"] in err
+        assert field in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("perm", "x"), ("perm", [0.5]), ("perm", [True]), ("attempt_index", "0"),
+    ])
+    def test_reorder_eval_field_of_the_wrong_type_exits_1(
+        self, datasets, tmp_path, capsys, field, value
+    ):
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(["no answer"]))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve-reorder", "--dataset", str(datasets["eval-reorder"]),
+            "--out", str(attempts), "--mock", str(mock),
+        )
+        assert code == 0, err
+        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
+        logs[1]["eval"][field] = value
+        attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
+        code, out, err = run(
+            capsys, "eval-reorder", "--dataset", str(datasets["eval-reorder"]),
+            "--attempts", str(attempts),
+        )
+        assert code == 1, err
+        assert out == ""
+        assert f"attempts file {attempts}" in err
+        assert logs[1]["instance_id"] in err
+        assert field in err
+
     @pytest.mark.parametrize("command", ["eval", "eval-reorder"])
     def test_predictions_matching_no_instance_exit_1(
         self, datasets, tmp_path, capsys, command
@@ -727,4 +790,19 @@ class TestVerifyRelations:
         )
         assert code == 1
         assert "--pairs must be at least 1" in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--min-len", "0"], "--min-len must be at least 1"),
+        (["--min-len", "-1", "--max-len", "0"], "--min-len must be at least 1"),
+        (["--min-len", "3", "--max-len", "2"],
+         "--min-len 3 exceeds --max-len 2"),
+        (["--max-len", "0"], "--min-len 1 exceeds --max-len 0"),
+    ])
+    def test_empty_length_range_exits_1(self, capsys, flags, message):
+        code, stdout, err = run(
+            capsys, "verify-relations", "--pairs", "5", "--seed", "3", *flags
+        )
+        assert code == 1
+        assert message in err
         assert stdout == ""

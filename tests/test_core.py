@@ -12,7 +12,6 @@ from rewritebench.core import (
     RewriteRule,
     apply_cascade,
     apply_rule,
-    count_occurrences,
     levenshtein,
     levenshtein_vec,
     string_sets,
@@ -173,14 +172,6 @@ class TestLevenshtein:
 
 
 class TestHelpers:
-    def test_count_occurrences_matches_replace_scan(self):
-        assert count_occurrences("aa", "aaa") == 1
-        assert count_occurrences("a", "aaa") == 3
-
-    def test_count_empty_pattern_rejected(self):
-        with pytest.raises(EmptySourceError):
-            count_occurrences("", "abc")
-
     def test_substrings_of_length(self):
         assert substrings_of_length(["aba", "bc"], 2) == ["ab", "ba", "bc"]
         assert substrings_of_length(["a"], 2) == []

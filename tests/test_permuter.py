@@ -27,7 +27,7 @@ from rewritebench.proposer import (
     lite_params,
     sample_candidate,
 )
-from rewritebench.relations import classify_bfcc
+from rewritebench.relations import _FRESH_POOL, classify_bfcc
 
 
 def make_instance(rules, inputs, id="inst"):
@@ -152,9 +152,9 @@ class TestCountValidOrders:
         assert json.dumps(count) == str(expected)
 
     def test_every_low_code_point_in_use(self):
-        # The strings use U+0000..U+0040, so the separator must come from
-        # past all of them.
-        low = "".join(chr(c) for c in range(0x41))
+        # The strings use U+0000..U+0040 and every fresh-symbol pool
+        # character, so the separator must come from past all of them.
+        low = "".join(chr(c) for c in range(0x41)) + _FRESH_POOL
         rules = [("\x00", "\n"), ("\n|", "\x00"), ("|", "\n|"), ("@", "")]
         inst = make_instance(rules, [low, "\x00|\n", "|@"])
         reorder = fb_swap(inst)

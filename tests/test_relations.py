@@ -261,6 +261,14 @@ class TestOracles:
     def test_self_destruction_witness(self):
         assert oracle_bleeds(R("ab", ""), R("ab", "x"), 3) == "ab"
 
+    @pytest.mark.parametrize("oracle", [oracle_feeds, oracle_bleeds])
+    def test_argument_handling(self, oracle):
+        with pytest.raises(EmptySourceError, match=f"^{oracle.__name__}\\(\\)"):
+            oracle(R("a", "b"), R("", "c"), 3)
+        with pytest.raises(ValueError, match="max_len"):
+            oracle(R("a", "b"), R("b", "c"), 0)
+        assert oracle(R("", "b"), R("b", "c"), 3) is None
+
     def test_fresh_symbol_beyond_the_pool(self):
         # Every pool character and the last code point are used: the fresh
         # symbol is the lowest unused code point, not one past the highest.
