@@ -29,6 +29,7 @@ from .evaluator import (
     score_attempt,
 )
 from .gateway import (
+    FINITE_JSON,
     HttpChatBackend,
     MockChatBackend,
     SolverConfig,
@@ -72,10 +73,10 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return FINITE_JSON.decode(fh.read())
     except FileNotFoundError:
         raise CliError(f"file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}")
 
 
@@ -224,7 +225,7 @@ def _scored(kind: str, command: str, dataset_path: str,
     instances, ids, limits = _load_task(dataset_path, kind, command)
     decode = EvalRecord.from_dict if kind == "pbe" else check_reorder_eval
     pairs = []
-    if attempts_path:
+    if attempts_path is not None:
         by_instance: dict[str, list] = {}
         for log in load_attempts(attempts_path):
             by_instance.setdefault(log.instance_id, []).append(log)
@@ -268,8 +269,6 @@ def _scored(kind: str, command: str, dataset_path: str,
 
 
 def _cmd_eval(args, kind: str) -> int:
-    if not (args.attempts or args.predictions):
-        raise CliError(f"{args.command} needs --attempts or --predictions")
     pairs = _scored(
         kind, args.command, args.dataset, args.attempts, args.predictions
     )
@@ -429,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
             name, description=f"Score {kind} attempts or predictions."
         )
         ev.add_argument("--dataset", required=True)
-        ev.add_argument("--attempts")
-        ev.add_argument("--predictions")
+        source = ev.add_mutually_exclusive_group(required=True)
+        source.add_argument("--attempts")
+        source.add_argument("--predictions")
         ev.add_argument("--out")
         ev.set_defaults(func=lambda a, k=kind: _cmd_eval(a, k))
 

@@ -16,7 +16,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, NoReturn, Optional, Protocol, Sequence
 
 from .evaluator import score_attempt
 from .permuter import ReorderInstance
@@ -29,6 +29,15 @@ class TransportError(RuntimeError):
 
 class TransientBackendError(RuntimeError):
     """Retryable failure (connection drop or 5xx status)."""
+
+
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a finite number")
+
+
+# ``json.loads`` without NaN, Infinity and -Infinity, which JSON does not
+# have. Built once: ``json.loads`` given a hook builds a decoder per call.
+FINITE_JSON = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 PBE_PROMPT_TEMPLATE = """\
@@ -163,6 +172,10 @@ class SolverConfig:
             raise ValueError("temperature must be non-negative")
         if not (0 < self.top_p <= 1):
             raise ValueError("top_p must lie in (0, 1]")
+        if self.timeout_ms < 1:
+            raise ValueError("timeout_ms must be at least 1")
+        if self.retry_count < 0:
+            raise ValueError("retry_count must be non-negative")
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -555,7 +568,7 @@ def load_attempts(path: str) -> list[AttemptLog]:
             if not line.strip():
                 continue
             try:
-                logs.append(AttemptLog.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, TypeError) as exc:
+                logs.append(AttemptLog.from_dict(FINITE_JSON.decode(line)))
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"corrupt attempt log at line {lineno}: {exc}")
     return logs

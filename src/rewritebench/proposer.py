@@ -40,10 +40,10 @@ class GeneratorParams:
     """Knobs for one generation run.
 
     Find patterns have lengths ``s_min..s_max`` and replacements
-    ``t_min..s_max``; ``t_min`` defaults to ``s_min``, and ``t_min=0`` lets
-    rules delete. ``tau`` is the number of sampling iterations during which
-    every quota constraint is enforced; afterwards ``post_patience_policy``
-    decides what still applies.
+    ``t_min..s_max``; ``t_min``, keyword-only, defaults to ``s_min``, and
+    ``t_min=0`` lets rules delete. ``tau`` is the number of sampling
+    iterations during which every quota constraint is enforced; afterwards
+    ``post_patience_policy`` decides what still applies.
     """
 
     n: int
@@ -54,12 +54,12 @@ class GeneratorParams:
     L_max: int
     s_min: int
     s_max: int
+    t_min: Optional[int] = field(default=None, kw_only=True)
     D: int
     tau: int
     seed: int
     quota_mode: str = "category-balanced"
     post_patience_policy: str = "keep-length-quota"
-    t_min: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.t_min is None:
@@ -90,22 +90,9 @@ class GeneratorParams:
         return self.L_max - self.L_min + 1
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alphabet": "".join(self.alphabet.symbols),
-            "l_min": self.l_min,
-            "l_max": self.l_max,
-            "L_min": self.L_min,
-            "L_max": self.L_max,
-            "s_min": self.s_min,
-            "s_max": self.s_max,
-            "t_min": self.t_min,
-            "D": self.D,
-            "tau": self.tau,
-            "seed": self.seed,
-            "quota_mode": self.quota_mode,
-            "post_patience_policy": self.post_patience_policy,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["alphabet"] = "".join(self.alphabet.symbols)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorParams":
@@ -255,31 +242,14 @@ def _word(getrandbits, symbols: Sequence[str], length: int) -> str:
 
 def sample_input_vector(params: GeneratorParams, rng: random.Random) -> list[str]:
     """n strings with uniform lengths in [l_min, l_max] and i.i.d. uniform
-    characters.
-
-    Each string makes the draws of ``_word(getrandbits, symbols, l_min +
-    _below(getrandbits, spread))``. Both loops are written out, which saves
-    two calls per string on every candidate.
-    """
+    characters."""
     symbols = params.alphabet.symbols
     getrandbits = rng.getrandbits
-    n_symbols = len(symbols)
-    k_symbol = n_symbols.bit_length()
-    l_min, spread = params.l_min, params.l_max - params.l_min + 1
-    k_length = spread.bit_length()
-    vector = []
-    for _ in range(params.n):
-        r = getrandbits(k_length)
-        while r >= spread:
-            r = getrandbits(k_length)
-        chars = []
-        for _ in range(l_min + r):
-            r = getrandbits(k_symbol)
-            while r >= n_symbols:
-                r = getrandbits(k_symbol)
-            chars.append(symbols[r])
-        vector.append("".join(chars))
-    return vector
+    spread = params.l_max - params.l_min + 1
+    return [
+        _word(getrandbits, symbols, params.l_min + _below(getrandbits, spread))
+        for _ in range(params.n)
+    ]
 
 
 def sample_rule(

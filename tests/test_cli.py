@@ -106,6 +106,28 @@ class TestGen:
         assert code == 1
         assert "t_min" in err
 
+    def test_settings_without_t_min_pinned(self, tmp_path, capsys):
+        """Left out, t_min takes s_min's value and its key stays after
+        s_max; the hash was taken before t_min became keyword-only."""
+        path = tmp_path / "ds.json"
+        code, _, err = run(
+            capsys, "gen", "--out", str(path), "--seed", "3", "--n", "3",
+            "--alphabet", "abcd", "--l-min", "2", "--l-max", "4",
+            "--cascade-min", "2", "--cascade-max", "3", "--s-min", "1",
+            "--s-max", "2", "--size", "32", "--tau", "5000",
+        )
+        assert code == 0, err
+        params = json.loads(path.read_text())["params"]
+        assert list(params) == [
+            "n", "alphabet", "l_min", "l_max", "L_min", "L_max", "s_min",
+            "s_max", "t_min", "D", "tau", "seed", "quota_mode",
+            "post_patience_policy",
+        ]
+        assert params["t_min"] == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "462096bc5b50dd3b3370126d9f092f0daca72fe07da0823b16c6b12a7ba622b1"
+        )
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
@@ -626,6 +648,94 @@ class TestSolveEvalReport:
         assert f"attempts file {attempts}" in err
         assert logs[1]["instance_id"] in err
         assert field in err
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_non_finite_number_in_attempt_log_exits_1(
+        self, datasets, tmp_path, capsys, command, value
+    ):
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(["no answer"]))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve", "--dataset", str(datasets["eval"]),
+            "--out", str(attempts), "--mock", str(mock),
+        )
+        assert code == 0, err
+        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
+        logs[0]["eval"]["edit_sim"] = value
+        attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
+        code, out, err = run(
+            capsys, command, "--dataset", str(datasets["eval"]),
+            "--attempts", str(attempts),
+        )
+        assert code == 1, err
+        assert out == ""
+        assert "corrupt attempt log at line 1" in err
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_in_config_exits_1(
+        self, small_dataset, tmp_path, capsys, constant
+    ):
+        mock, config = self._gt_mock(small_dataset, tmp_path)
+        config.write_text(f'{{"max_in_flight": 1, "temperature": {constant}}}')
+        attempts = tmp_path / "att.jsonl"
+        code, out, err = run(
+            capsys, "solve", "--dataset", str(small_dataset),
+            "--out", str(attempts), "--mock", str(mock),
+            "--config", str(config),
+        )
+        assert code == 1, err
+        assert out == ""
+        assert f"invalid JSON in {config}" in err
+        assert not attempts.exists()
+
+    @pytest.mark.parametrize("setting", [
+        {"retry_count": -1}, {"timeout_ms": 0},
+    ])
+    def test_solver_setting_out_of_range_exits_1(
+        self, small_dataset, tmp_path, capsys, setting
+    ):
+        mock, config = self._gt_mock(small_dataset, tmp_path)
+        config.write_text(json.dumps({"max_in_flight": 1, **setting}))
+        attempts = tmp_path / "att.jsonl"
+        code, out, err = run(
+            capsys, "solve", "--dataset", str(small_dataset),
+            "--out", str(attempts), "--mock", str(mock),
+            "--config", str(config),
+        )
+        assert code == 1, err
+        assert out == ""
+        assert "invalid solver configuration" in err
+        assert next(iter(setting)) in err
+        assert not attempts.exists()
+
+    @pytest.mark.parametrize("command, solve", [
+        ("eval", "solve"), ("eval-reorder", "solve-reorder"),
+    ])
+    def test_attempts_and_predictions_exclude_each_other(
+        self, datasets, tmp_path, capsys, command, solve
+    ):
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(["no answer"]))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, solve, "--dataset", str(datasets[command]),
+            "--out", str(attempts), "--mock", str(mock),
+        )
+        assert code == 0, err
+        data = json.loads(pathlib.Path(datasets[command]).read_text())
+        pred_file = tmp_path / "preds.json"
+        pred_file.write_text(json.dumps({data["instances"][0]["id"]: "x"}))
+        code, out, err = run(
+            capsys, command, "--dataset", str(datasets[command]),
+            "--attempts", str(attempts), "--predictions", str(pred_file),
+        )
+        assert code == 1, err
+        assert out == ""
+        assert "--attempts" in err and "--predictions" in err
 
     @pytest.mark.parametrize("command", ["eval", "eval-reorder"])
     def test_predictions_matching_no_instance_exit_1(
