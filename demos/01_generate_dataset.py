@@ -37,7 +37,7 @@ def main() -> None:
     print("  inputs: ", list(inst.inputs))
     print("  cascade:", [r.render() for r in inst.cascade])
     print("  outputs:", list(inst.outputs))
-    print("  category:", inst.category.render(),
+    print("  category:", inst.category,
           "edges:", [(e.i, e.kind, e.j) for e in inst.fb_edges])
 
     report = kl_balance_report(dataset)

@@ -49,7 +49,7 @@ def main() -> None:
                RewriteRule("x", "a")]
     category, edges = classify_bfcc(cascade)
     print("cascade: ", [r.render() for r in cascade])
-    print("category:", category.render(), "(bits F, B, CF, CB)")
+    print("category:", category, "(bits F, B, CF, CB)")
     print("edges:   ", [(e.i, e.kind, e.j) for e in edges])
 
 

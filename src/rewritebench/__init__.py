@@ -19,7 +19,6 @@ from .core import (
     string_sets,
 )
 from .relations import (
-    CategoryString,
     RelationEdge,
     bleeds,
     classify_bfcc,
@@ -41,7 +40,6 @@ __all__ = [
     "Alphabet",
     "BalanceReport",
     "Cascade",
-    "CategoryString",
     "Dataset",
     "EmptySourceError",
     "GeneratorParams",

@@ -99,6 +99,11 @@ def _write_json(data: dict, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+# The value types a field annotated as an integer accepts; a float or a
+# bool (an int subclass) is rejected, not truncated.
+_INTEGER_TYPES = {"int": (int,), "Optional[int]": (int, type(None))}
+
+
 def _settings(args, cls, base: dict, what: str):
     """``cls`` built from ``base``, then the ``--config`` file, then the
     flags given: each flag's ``dest`` is the name of the field it sets."""
@@ -108,6 +113,11 @@ def _settings(args, cls, base: dict, what: str):
         (key, value) for key, value in vars(args).items()
         if key in names and value is not None
     )
+    for f in fields(cls):
+        allowed = _INTEGER_TYPES.get(f.type)
+        if allowed and f.name in config and type(config[f.name]) not in allowed:
+            raise CliError(f"invalid {what} configuration: "
+                           f"{f.name} {config[f.name]!r} is not an integer")
     try:
         return cls.from_dict(config)
     except (ValueError, TypeError) as exc:

@@ -235,7 +235,7 @@ def evaluate_pbe(
         executed = prediction.rules
         valid_contrib = prediction.valid_fraction
         pred_length = len(executed)
-        pred_category = category_of(executed).render()
+        pred_category = category_of(executed)
 
     pred_outputs = tuple(apply_cascade(executed, instance.inputs))
     passed = pred_outputs == instance.outputs
@@ -475,7 +475,7 @@ def breakdown_reports(
     by_length: dict[int, list[bool]] = {}
     for rec, inst in zip(records, instances):
         gt_len = inst.effective_length
-        gt_cat = inst.category.render()
+        gt_cat = inst.category
         by_length.setdefault(gt_len, []).append(rec.passed)
         row = bundle.length_confusion.setdefault(gt_len, {})
         row[rec.pred_length] = row.get(rec.pred_length, 0) + 1

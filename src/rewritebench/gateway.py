@@ -35,9 +35,19 @@ def _reject_constant(name: str) -> NoReturn:
     raise ValueError(f"{name} is not a finite number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        _reject_constant(text)
+    return value
+
+
 # ``json.loads`` without NaN, Infinity and -Infinity, which JSON does not
-# have. Built once: ``json.loads`` given a hook builds a decoder per call.
-FINITE_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+# have, and without a number literal such as 1e400 that overflows to one.
+# Built once: ``json.loads`` given a hook builds a decoder per call.
+FINITE_JSON = json.JSONDecoder(
+    parse_constant=_reject_constant, parse_float=_finite_float
+)
 
 
 PBE_PROMPT_TEMPLATE = """\

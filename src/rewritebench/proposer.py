@@ -25,7 +25,6 @@ from .core import (
 )
 from .relations import (
     ALL_CATEGORIES,
-    CategoryString,
     RelationEdge,
     category_of,
     classify_bfcc,
@@ -127,7 +126,7 @@ class PbeInstance:
     inputs: tuple[str, ...]
     cascade: Cascade
     outputs: tuple[str, ...]
-    category: CategoryString
+    category: str
     fb_edges: tuple[RelationEdge, ...]
 
     @property
@@ -150,18 +149,21 @@ class PbeInstance:
             "outputs": list(self.outputs),
             "programs": encode_rules(self.cascade),
             "cascade_length": len(self.cascade),
-            "category": self.category.render(),
+            "category": self.category,
             "fb_edges": [[e.i, e.kind, e.j] for e in self.fb_edges],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "PbeInstance":
+        category = data["category"]
+        if category not in ALL_CATEGORIES:
+            raise ValueError(f"malformed category string {category!r}")
         return cls(
             id=data["id"],
             inputs=tuple(data["inputs"]),
             cascade=decode_rules(data["programs"]),
             outputs=tuple(data["outputs"]),
-            category=CategoryString.parse(data["category"]),
+            category=category,
             fb_edges=tuple(RelationEdge(i, k, j) for i, k, j in data["fb_edges"]),
         )
 
@@ -367,7 +369,7 @@ def generate_dataset(params: GeneratorParams) -> Dataset:
         signature = candidate.dedup_signature()
         if signature in seen:
             continue
-        cat = candidate.category.render()
+        cat = candidate.category
         length = len(candidate.cascade)
 
         if t < params.tau:
@@ -444,7 +446,7 @@ def kl_balance_report(dataset: Dataset) -> BalanceReport:
     category_counts = {cat: 0 for cat in ALL_CATEGORIES}
     length_counts: dict[int, int] = {}
     for inst in dataset.instances:
-        category_counts[inst.category.render()] += 1
+        category_counts[inst.category] += 1
         length_counts[inst.effective_length] = (
             length_counts.get(inst.effective_length, 0) + 1
         )

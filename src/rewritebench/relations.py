@@ -39,26 +39,9 @@ class RelationEdge:
             raise ValueError("self-edges are not allowed")
 
 
-@dataclass(frozen=True)
-class CategoryString:
-    """Presence bits for feeding, bleeding, counter-feeding, and
-    counter-bleeding, rendered as a 4-character '0'/'1' string."""
-
-    f: bool
-    b: bool
-    cf: bool
-    cb: bool
-
-    def render(self) -> str:
-        return "".join("1" if bit else "0" for bit in (self.f, self.b, self.cf, self.cb))
-
-    @classmethod
-    def parse(cls, text: str) -> "CategoryString":
-        if len(text) != 4 or any(c not in "01" for c in text):
-            raise ValueError(f"malformed category string {text!r}")
-        return cls(*(c == "1" for c in text))
-
-
+# A category is a 4-character '0'/'1' string of presence bits for feeding,
+# bleeding, counter-feeding and counter-bleeding. As a bit mask these are
+# f = 8, b = 4, cf = 2, cb = 1, so ALL_CATEGORIES[mask] is the category of mask.
 ALL_CATEGORIES = tuple(format(i, "04b") for i in range(16))
 
 
@@ -110,7 +93,7 @@ def bleeds(first: RewriteRule, second: RewriteRule) -> bool:
     return _creates_sites(first.target, first.source, second.source)
 
 
-def classify_bfcc(cascade: Sequence[RewriteRule]) -> tuple[CategoryString, list[RelationEdge]]:
+def classify_bfcc(cascade: Sequence[RewriteRule]) -> tuple[str, list[RelationEdge]]:
     """Classify every ordered rule pair of a cascade and derive its category.
 
     Edges are produced row-major over ordered pairs (i, then j); the
@@ -134,13 +117,7 @@ def classify_bfcc(cascade: Sequence[RewriteRule]) -> tuple[CategoryString, list[
             if _creates_sites(t_i, s_i, s_j):
                 edges.append(RelationEdge(i, BLEEDING, j))
                 mask |= bleed
-    return _CATEGORY_OF_MASK[mask], edges
-
-
-# The category of each bit mask, in render order: f = 8, b = 4, cf = 2, cb = 1.
-_CATEGORY_OF_MASK = tuple(
-    CategoryString(*(bool(mask & bit) for bit in (8, 4, 2, 1))) for mask in range(16)
-)
+    return ALL_CATEGORIES[mask], edges
 
 
 @lru_cache(maxsize=64)
@@ -157,11 +134,11 @@ def _reachable(allowed: Optional[frozenset[str]]) -> tuple[bool, ...]:
 
 def category_of(
     cascade: Sequence[RewriteRule], allowed: Optional[Collection[str]] = None
-) -> Optional[CategoryString]:
+) -> Optional[str]:
     """The category ``classify_bfcc`` derives, without its edges: a pair test
     is skipped once its bit is set, and the scan stops once all four are.
 
-    With ``allowed``, a collection of rendered categories, returns None as
+    With ``allowed``, a collection of categories, returns None as
     soon as the category can no longer end in it: bits are only ever set,
     so the reachable categories are those holding every bit set so far.
     The reachability table is cached by the collection's contents, so the
@@ -186,7 +163,7 @@ def category_of(
                 return None
         if mask == 15:
             break
-    return _CATEGORY_OF_MASK[mask]
+    return ALL_CATEGORIES[mask]
 
 
 _FRESH_POOL = "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"

@@ -120,7 +120,7 @@ def test_criterion_03_reversal_duality():
         )
         cat, _ = classify_bfcc(cascade)
         rcat, _ = classify_bfcc(tuple(reversed(cascade)))
-        if (rcat.f, rcat.b, rcat.cf, rcat.cb) != (cat.cf, cat.cb, cat.f, cat.b):
+        if (rcat[0], rcat[1], rcat[2], rcat[3]) != (cat[2], cat[3], cat[0], cat[1]):
             violations += 1
     report(3, violations == 0, f"{violations} violations over 1000 cascades")
 
@@ -195,11 +195,10 @@ def test_criterion_07_worked_examples():
 
 def test_criterion_08_edit_sim_negativity():
     from rewritebench.proposer import PbeInstance
-    from rewritebench.relations import CategoryString
 
     inst = PbeInstance(
         id="neg", inputs=("ab",), cascade=(RewriteRule("b", "c"),),
-        outputs=("ac",), category=CategoryString(False, False, False, False),
+        outputs=("ac",), category="0000",
         fb_edges=(),
     )
     record = evaluate_pbe(
@@ -275,14 +274,14 @@ def test_criterion_11_prompt_golden_files():
     import pathlib
 
     from rewritebench.proposer import PbeInstance
-    from rewritebench.relations import CategoryString, RelationEdge
+    from rewritebench.relations import RelationEdge
 
     fixtures = pathlib.Path(__file__).parent / "fixtures"
     pbe = PbeInstance(
         id="golden-pbe", inputs=("abc", "ebc", "aba"),
         cascade=(RewriteRule("bc", "dc"), RewriteRule("ad", "ed")),
         outputs=("edc", "edc", "aba"),
-        category=CategoryString(True, False, False, False),
+        category="1000",
         fb_edges=(RelationEdge(0, "F", 1),),
     )
     reorder = ReorderInstance(

@@ -65,6 +65,22 @@ class TestGen:
         assert code == 1
         assert "bogus_knob" in err
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_integer_setting_of_another_type_exits_1(
+        self, tmp_path, capsys, value
+    ):
+        config = tmp_path / "n.json"
+        config.write_text(json.dumps({"n": value}))
+        path = tmp_path / "x.json"
+        code, out, err = run(
+            capsys, "gen", "--out", str(path), "--seed", "0",
+            "--preset", "lite", "--size", "16", "--config", str(config),
+        )
+        assert code == 1, err
+        assert out == ""
+        assert f"invalid generator configuration: n {value!r} is not an integer" in err
+        assert not path.exists()
+
     def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys):
         config = tmp_path / "list.json"
         config.write_text(json.dumps([1, 2]))
@@ -650,11 +666,14 @@ class TestSolveEvalReport:
         assert field in err
 
     @pytest.mark.parametrize("command", ["eval", "report"])
-    @pytest.mark.parametrize("value", [
-        float("nan"), float("inf"), float("-inf"),
+    @pytest.mark.parametrize("literal", [
+        pytest.param("NaN", id="nan"),
+        pytest.param("Infinity", id="inf"),
+        pytest.param("-Infinity", id="-inf"),
+        pytest.param("1e400", id="1e400"),
     ])
     def test_non_finite_number_in_attempt_log_exits_1(
-        self, datasets, tmp_path, capsys, command, value
+        self, datasets, tmp_path, capsys, command, literal
     ):
         mock = tmp_path / "mock.json"
         mock.write_text(json.dumps(["no answer"]))
@@ -665,17 +684,20 @@ class TestSolveEvalReport:
         )
         assert code == 0, err
         logs = [json.loads(line) for line in attempts.read_text().splitlines()]
-        logs[0]["eval"]["edit_sim"] = value
-        attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
+        logs[0]["eval"]["edit_sim"] = "EDIT_SIM"
+        text = "".join(json.dumps(lg) + "\n" for lg in logs)
+        attempts.write_text(text.replace('"EDIT_SIM"', literal, 1))
         code, out, err = run(
             capsys, command, "--dataset", str(datasets["eval"]),
             "--attempts", str(attempts),
         )
         assert code == 1, err
         assert out == ""
-        assert "corrupt attempt log at line 1" in err
+        assert f"corrupt attempt log at line 1: {literal} is not a finite number" in err
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]
+    )
     def test_non_finite_number_in_config_exits_1(
         self, small_dataset, tmp_path, capsys, constant
     ):
@@ -694,6 +716,8 @@ class TestSolveEvalReport:
 
     @pytest.mark.parametrize("setting", [
         {"retry_count": -1}, {"timeout_ms": 0},
+        {"retry_count": 1.5}, {"max_in_flight": 1.5}, {"sampling_budget": 1.5},
+        {"max_in_flight": True},
     ])
     def test_solver_setting_out_of_range_exits_1(
         self, small_dataset, tmp_path, capsys, setting
@@ -796,6 +820,7 @@ class TestDatasetKind:
         "missing-n-valid-orders": (
             "eval-reorder", lambda d: d["instances"][0].pop("n_valid_orders")
         ),
+        "bad-category": ("stats", lambda d: d["instances"][0].update(category="12")),
     }
 
     def _run(self, capsys, tmp_path, command, dataset):

@@ -577,7 +577,7 @@ class TestBreakdowns:
         records, instances = self._records_and_instances()
         bundle = breakdown_reports(records, instances)
         assert bundle.length_confusion[1] == {0: 1}
-        assert bundle.category_confusion[instances[1].category.render()] == {
+        assert bundle.category_confusion[instances[1].category] == {
             INVALID_CATEGORY: 1,
         }
 

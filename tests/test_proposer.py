@@ -26,7 +26,7 @@ from rewritebench.proposer import (
     sample_input_vector,
     sample_rule,
 )
-from rewritebench.relations import ALL_CATEGORIES, CategoryString, classify_bfcc
+from rewritebench.relations import ALL_CATEGORIES, classify_bfcc
 
 
 def tiny_params(**overrides):
@@ -160,9 +160,8 @@ def reference_candidate(params, rng, allowed=None):
     if len(kept) < params.L_min or intermediate == inputs:
         return None
     category = classify_bfcc(kept)[0]
-    bits = category.render()
-    if allowed is not None and bits != "0000" and not any(
-        all(have >= need for have, need in zip(cat, bits)) for cat in allowed
+    if allowed is not None and category != "0000" and not any(
+        all(have >= need for have, need in zip(cat, category)) for cat in allowed
     ):
         return None
     return (tuple(inputs), tuple(kept), tuple(intermediate), category)
@@ -310,7 +309,7 @@ class TestGenerateDataset:
         assert render(a) == render(b)
         first = PbeInstance(
             id="", inputs=("x",), cascade=a, outputs=("y",),
-            category=CategoryString.parse("0000"), fb_edges=(),
+            category="0000", fb_edges=(),
         )
         second = dataclasses.replace(first, cascade=b)
         assert first.dedup_signature() != second.dedup_signature()
@@ -320,7 +319,7 @@ class TestGenerateDataset:
         if not ds.stats.patience_exhausted:
             counts = {}
             for inst in ds.instances:
-                key = inst.category.render()
+                key = inst.category
                 counts[key] = counts.get(key, 0) + 1
             cap = math.ceil(32 / 16)
             assert all(v <= cap for v in counts.values())

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from rewritebench.core import EmptySourceError, RewriteRule, apply_rule, string_sets
 from rewritebench.relations import (
     ALL_CATEGORIES,
-    CategoryString,
     RelationEdge,
     bleeds,
     category_of,
@@ -161,17 +160,17 @@ class TestBleeds:
 class TestClassify:
     def test_feeding_pair(self):
         category, edges = classify_bfcc([R("bc", "dc"), R("ad", "ed")])
-        assert category.render() == "1000"
+        assert category == "1000"
         assert edges == [RelationEdge(0, "F", 1)]
 
     def test_no_interactions(self):
         category, edges = classify_bfcc([R("a", "b"), R("c", "d")])
-        assert category.render() == "0000"
+        assert category == "0000"
         assert edges == []
 
     def test_reversal_moves_f_to_cf(self):
         category, edges = classify_bfcc([R("ad", "ed"), R("bc", "dc")])
-        assert category.render() == "0010"
+        assert category == "0010"
         assert edges == [RelationEdge(1, "F", 0)]
 
     @given(cascades)
@@ -180,16 +179,17 @@ class TestClassify:
         """Reversing a cascade swaps (F, CF) and (B, CB)."""
         cat, _ = classify_bfcc(cascade)
         rcat, _ = classify_bfcc(tuple(reversed(cascade)))
-        assert rcat == CategoryString(cat.cf, cat.cb, cat.f, cat.b)
+        assert rcat == cat[2:] + cat[:2]
 
     @given(cascades)
     @settings(max_examples=100)
     def test_bits_match_edges(self, cascade):
         cat, edges = classify_bfcc(cascade)
-        assert cat.f == any(e.kind == "F" and e.i < e.j for e in edges)
-        assert cat.cf == any(e.kind == "F" and e.i > e.j for e in edges)
-        assert cat.b == any(e.kind == "B" and e.i < e.j for e in edges)
-        assert cat.cb == any(e.kind == "B" and e.i > e.j for e in edges)
+        assert cat in ALL_CATEGORIES
+        assert (cat[0] == "1") == any(e.kind == "F" and e.i < e.j for e in edges)
+        assert (cat[2] == "1") == any(e.kind == "F" and e.i > e.j for e in edges)
+        assert (cat[1] == "1") == any(e.kind == "B" and e.i < e.j for e in edges)
+        assert (cat[3] == "1") == any(e.kind == "B" and e.i > e.j for e in edges)
 
     @given(cascades)
     @settings(max_examples=200)
@@ -202,43 +202,32 @@ class TestClassify:
         category = classify_bfcc(cascade)[0]
         result = category_of(cascade, allowed)
         if result is None:
-            assert category.render() not in allowed
+            assert category not in allowed
         else:
             assert result == category
-        if category.render() in allowed:
+        if category in allowed:
             assert result == category
 
     def test_category_of_stops_on_unreachable_bit(self):
         cascade = [R("bc", "dc"), R("ad", "ed")]  # category 1000
         assert category_of(cascade, {"0100", "0000"}) is None
-        assert category_of(cascade, {"1100"}) == CategoryString(
-            True, False, False, False
-        )
+        assert category_of(cascade, {"1100"}) == "1000"
 
     def test_category_of_follows_a_mutated_set(self):
         # The reachability table must be keyed on the set's contents, not on
         # the set object.
         cascade = [R("bc", "dc"), R("ad", "ed")]  # category 1000
         allowed = {"1100"}
-        assert category_of(cascade, allowed) == CategoryString(
-            True, False, False, False
-        )
+        assert category_of(cascade, allowed) == "1000"
         allowed.clear()
         allowed.add("0100")
         assert category_of(cascade, allowed) is None
         allowed.add("1000")
-        assert category_of(cascade, allowed) == CategoryString(
-            True, False, False, False
-        )
+        assert category_of(cascade, allowed) == "1000"
 
     def test_category_of_requires_find_patterns(self):
         with pytest.raises(EmptySourceError):
             category_of([R("", "a"), R("b", "c")])
-
-    def test_category_render_parse_roundtrip(self):
-        for i in range(16):
-            text = format(i, "04b")
-            assert CategoryString.parse(text).render() == text
 
 
 class TestOracles:
