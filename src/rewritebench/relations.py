@@ -187,14 +187,89 @@ def _oracle_alphabet(first: RewriteRule, second: RewriteRule) -> tuple[str, ...]
     return tuple(sorted(used))
 
 
-def _kmp_step(pattern: str, k: int, c: str) -> int:
-    """The KMP state after reading ``c`` in state ``k``: the length of the
-    longest suffix of ``pattern[:k] + c`` that is a prefix of ``pattern``."""
-    text = pattern[:k] + c
-    for j in range(len(text), 0, -1):
-        if pattern.startswith(text[-j:]):
-            return j
-    return 0
+@lru_cache(maxsize=1024)
+def _kmp_table(pattern: str, alphabet: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    """The KMP automaton of ``pattern`` over ``alphabet``: per state
+    k < len(pattern) and symbol index, the length of the longest suffix of
+    ``pattern[:k] + symbol`` that is a prefix of ``pattern``. Row k is row
+    ``border``, the state after reading ``pattern[1:k]``, except that
+    ``pattern[k]`` goes on to k + 1."""
+    rows = [[int(c == pattern[0]) for c in alphabet]]
+    border = 0
+    for k in range(1, len(pattern)):
+        c = alphabet.index(pattern[k])
+        row = rows[border][:]
+        row[c] = k + 1
+        rows.append(row)
+        border = rows[border][c]
+    return tuple(map(tuple, rows))
+
+
+@lru_cache(maxsize=1024)
+def _rewrite_table(s: str, t: str, alphabet: tuple[str, ...]) -> tuple[tuple, tuple]:
+    """``str.replace(s, t)`` as a transducer over symbol indices: per state
+    k < len(s) and symbol, the next state and the symbols emitted; and per
+    state, the pending buffer ``s[:k]`` flushed at the end of the input."""
+    code = {c: i for i, c in enumerate(alphabet)}
+    s_ix = tuple(code[c] for c in s)
+    t_ix = tuple(code[c] for c in t)
+    steps = tuple(
+        tuple(
+            (0, t_ix) if j == len(s) else (j, (s_ix[:k] + (c,))[: k + 1 - j])
+            for c, j in enumerate(row)
+        )
+        for k, row in enumerate(_kmp_table(s, alphabet))
+    )
+    return steps, tuple(s_ix[:k] for k in range(len(s)))
+
+
+@lru_cache(maxsize=1024)
+def _count_table(
+    u: str, alphabet: tuple[str, ...]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``str.count(u)`` as a KMP counter that resets on every hit: per state
+    k < len(u) and symbol index, the next state and the hits (0 or 1)."""
+    return tuple(
+        tuple((0, 1) if j == len(u) else (j, 0) for j in row)
+        for row in _kmp_table(u, alphabet)
+    )
+
+
+@lru_cache(maxsize=2)
+def _product(
+    s: str, t: str, u: str, alphabet: tuple[str, ...]
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
+    """The product of the rewrite transducer and the counters on its input
+    and output, reachable states only, state 0 the start: per state, a row
+    of (successor, output hits - input hits) per symbol, and the hits that
+    flushing the pending buffer adds on the output."""
+    steps, pending = _rewrite_table(s, t, alphabet)
+    count = _count_table(u, alphabet)
+
+    def run(k: int, symbols: tuple[int, ...]) -> tuple[int, int]:
+        hits = 0
+        for c in symbols:
+            k, hit = count[k][c]
+            hits += hit
+        return k, hits
+
+    states = [(0, 0, 0)]
+    index = {states[0]: 0}
+    edges: list[tuple[tuple[int, int], ...]] = []
+    flush: list[int] = []
+    for k, k_in, k_out in states:  # grows while it is scanned: a BFS
+        row = []
+        for (k2, emitted), (k_in2, hits_in) in zip(steps[k], count[k_in]):
+            k_out2, hits_out = run(k_out, emitted)
+            nxt = (k2, k_in2, k_out2)
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(states)
+                states.append(nxt)
+            row.append((j, hits_out - hits_in))
+        edges.append(tuple(row))
+        flush.append(run(k_out, pending[k])[1])
+    return tuple(edges), tuple(flush)
 
 
 def _witness(
@@ -212,13 +287,21 @@ def _witness(
     and as ``t`` once it completes one (Kaplan & Kay 1994; Mohri & Sproat
     1996). ``str.count`` is a KMP counter that resets on every hit. A product
     state is (transducer state, counter on the input, counter on the
-    output); an edge weighs ``sign`` * (output hits - input hits), and the
-    pending buffer is flushed through the output counter at the end.
+    output); an edge weighs output hits - input hits, and the pending buffer
+    is flushed through the output counter at the end.
 
-    ``best[n][i]`` is the largest weight that n more symbols reach from state
-    i, so a witness of length n exists iff ``best[n][start] > 0``; the
-    witness is then spelled greedily, smallest symbol first. The search is
-    exact: it returns what enumerating every string would.
+    Each pattern's KMP table is built once per alphabet and kept
+    (``_kmp_table``, and the ``_rewrite_table`` and ``_count_table`` derived
+    from it). The product carries unsigned weights, so ``oracle_feeds`` and
+    ``oracle_bleeds`` on one pair share it: ``_product`` keeps the last two
+    pairs' products, keyed by the three strings and the alphabet (which
+    also depends on ``second.target``, through the fresh symbol).
+
+    ``best[n][i]`` is the largest weight times ``sign`` that n more symbols
+    reach from state i, so a witness of length n exists iff
+    ``best[n][start] > 0``; the witness is then spelled greedily, smallest
+    symbol first. The search is exact: it returns what enumerating every
+    string would.
     """
     if not second.source:
         raise EmptySourceError(f"{caller}() requires the second rule's find pattern")
@@ -226,52 +309,16 @@ def _witness(
         raise ValueError("max_len must be at least 1")
     if not first.source:
         return None
-    s, t, u = first.source, first.target, second.source
     alphabet = _oracle_alphabet(first, second)
-    rewrite = []  # per transducer state and symbol: (next state, emitted text)
-    for k in range(len(s)):
-        step = {}
-        for c in alphabet:
-            j = _kmp_step(s, k, c)
-            step[c] = (0, t) if j == len(s) else (j, (s[:k] + c)[: k + 1 - j])
-        rewrite.append(step)
-    count = []  # per counter state and symbol: (next state, hits)
-    for k in range(len(u)):
-        step = {}
-        for c in alphabet:
-            j = _kmp_step(u, k, c)
-            step[c] = (0, 1) if j == len(u) else (j, 0)
-        count.append(step)
+    edges, flush = _product(first.source, first.target, second.source, alphabet)
 
-    def run(k: int, text: str) -> tuple[int, int]:
-        hits = 0
-        for c in text:
-            k, hit = count[k][c]
-            hits += hit
-        return k, hits
-
-    states = [(0, 0, 0)]
-    index = {states[0]: 0}
-    edges: list[list[tuple[int, int]]] = []
-    flush: list[int] = []
-    for k, k_in, k_out in states:  # grows while it is scanned: a BFS
-        row = []
-        for c in alphabet:
-            k2, emitted = rewrite[k][c]
-            k_in2, hits_in = count[k_in][c]
-            k_out2, hits_out = run(k_out, emitted)
-            nxt = (k2, k_in2, k_out2)
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-            row.append((index[nxt], sign * (hits_out - hits_in)))
-        edges.append(row)
-        flush.append(sign * run(k_out, s[:k])[1])
-
-    best = [flush]
+    best = [list(flush) if sign > 0 else [-hits for hits in flush]]
     for n in range(1, max_len + 1):
         prev = best[-1]
-        cur = [max([w + prev[j] for j, w in row]) for row in edges]
+        if sign > 0:
+            cur = [max([prev[j] + w for j, w in row]) for row in edges]
+        else:
+            cur = [max([prev[j] - w for j, w in row]) for row in edges]
         best.append(cur)
         if cur[0] > 0:
             break
@@ -285,9 +332,9 @@ def _witness(
     for left in range(n - 1, -1, -1):
         tail = best[left]
         for c, (j, w) in zip(alphabet, edges[i]):
-            if gained + w + tail[j] > 0:
+            if gained + sign * w + tail[j] > 0:
                 out.append(c)
-                i, gained = j, gained + w
+                i, gained = j, gained + sign * w
                 break
     return "".join(out)
 

@@ -913,6 +913,22 @@ class TestVerifyRelations:
             else:
                 assert d["witness"] is None
 
+    @pytest.mark.parametrize("flags, digest", [
+        pytest.param(
+            ["--pairs", "300", "--seed", "0"],
+            "c69d0b1f85ced8ecc2395e0de57a974707bde53e3bf4e975d6759eb277d96724",
+            id="300-pairs-seed-0"),
+        pytest.param(
+            ["--pairs", "200", "--seed", "1", "--alphabet", "abcd", "--max-len", "3"],
+            "307b916bd8af46c31aa00eddaa7cb7a1c9840b642e41b7b3808a9f7675e059b4",
+            id="200-pairs-seed-1-abcd-max-len-3"),
+    ])
+    def test_stdout_is_pinned(self, capsys, flags, digest):
+        """The whole report, every witness included, byte for byte."""
+        code, stdout, _ = run(capsys, "verify-relations", *flags)
+        assert code == 1
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
     def test_seed_required(self, capsys):
         code, _, err = run(capsys, "verify-relations", "--pairs", "10")
         assert code == 1

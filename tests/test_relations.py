@@ -29,7 +29,9 @@ from rewritebench.relations import (
     oracle_feeds,
     _FRESH_POOL,
     _fresh_symbol,
+    _kmp_table,
     _oracle_alphabet,
+    _product,
 )
 
 rules = st.builds(
@@ -325,6 +327,71 @@ def test_oracles_match_enumeration(case):
     p, q, bound = case
     assert oracle_feeds(p, q, bound) == enumerate_witness(p, q, bound, 1)
     assert oracle_bleeds(p, q, bound) == enumerate_witness(p, q, bound, -1)
+
+
+def test_kmp_table_matches_its_definition():
+    """Every character-equality pattern of 1-7 symbols, over its own symbols
+    plus one fresh one: state k on symbol c goes to the length of the
+    longest suffix of ``pattern[:k] + c`` that is a prefix of the pattern."""
+    checked = 0
+    for n in range(1, 8):
+        for pattern in equality_patterns(n):
+            alphabet = tuple(sorted(set(pattern) | {"z"}))
+            table = _kmp_table(pattern, alphabet)
+            assert len(table) == n
+            for k, row in enumerate(table):
+                for c, j in zip(alphabet, row):
+                    text = pattern[:k] + c
+                    border = max(i for i in range(k + 2) if text.endswith(pattern[:i]))
+                    assert j == border, (pattern, k, c)
+                    checked += 1
+    assert checked == 35_522
+
+
+@st.composite
+def long_oracle_cases(draw):
+    """Sides of 4-6 symbols over two or three letters: patterns with nested
+    borders (``abab``, ``aabaa``), where a wrongly built KMP table shows.
+    Half the sides repeat a unit of 1-3 symbols, so that most have one."""
+    symbols = draw(st.sampled_from(["ab", "abc"]))
+
+    def side():
+        size = draw(st.integers(min_value=4, max_value=6))
+        if draw(st.booleans()):
+            unit = draw(st.text(alphabet=symbols, min_size=1, max_size=3))
+            return (unit * size)[:size]
+        return draw(st.text(alphabet=symbols, min_size=size, max_size=size))
+
+    p = RewriteRule(side(), side())
+    q = RewriteRule(side(), side())
+    return p, q, draw(st.integers(min_value=1, max_value=8))
+
+
+@given(long_oracle_cases())
+@settings(max_examples=150, deadline=None)
+def test_oracles_match_enumeration_on_longer_sides(case):
+    p, q, bound = case
+    assert oracle_feeds(p, q, bound) == enumerate_witness(p, q, bound, 1)
+    assert oracle_bleeds(p, q, bound) == enumerate_witness(p, q, bound, -1)
+
+
+def test_oracles_share_products_only_within_an_alphabet():
+    """Pairs A and B differ only in the second rule's target, which changes
+    the oracle alphabet (``0`` sorts before the letters and shifts every
+    symbol index), so a product shared between them answers wrongly. Calls
+    alternate between the pairs and between the oracles, and pair C asks
+    for bleeding before feeding."""
+    a = (R("ab", "ba"), R("ab", ""))
+    b = (R("ab", "ba"), R("ab", "0"))
+    c = (R("ba", "ab"), R("ab", "a"))
+    assert _oracle_alphabet(*a) != _oracle_alphabet(*b)
+    _product.cache_clear()
+    calls = [
+        (oracle_feeds, a, 1), (oracle_bleeds, b, -1), (oracle_bleeds, a, -1),
+        (oracle_feeds, b, 1), (oracle_bleeds, c, -1), (oracle_feeds, c, 1),
+    ]
+    for oracle, (p, q), direction in calls:
+        assert oracle(p, q, 5) == enumerate_witness(p, q, 5, direction), (oracle, p, q)
 
 
 def _random_rule(rng):
