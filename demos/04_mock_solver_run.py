@@ -9,7 +9,12 @@ and aggregates exactly as it would for a real endpoint. Run with:
 
 from rewritebench.core import Alphabet
 from rewritebench.evaluator import EvalRecord, aggregate_pbe, breakdown_reports
-from rewritebench.gateway import MockChatBackend, SolverConfig, solve_with_budget
+from rewritebench.gateway import (
+    MockChatBackend,
+    PbeTask,
+    SolverConfig,
+    solve_with_budget,
+)
 from rewritebench.proposer import GeneratorParams, generate_dataset
 
 
@@ -21,6 +26,10 @@ def main() -> None:
     )
     dataset = generate_dataset(params)
     config = SolverConfig(sampling_budget=3, max_in_flight=1)
+    task = PbeTask(
+        s_max=params.s_max, L_max=params.L_max,
+        identity_symbol=params.alphabet.symbols[0],
+    )
 
     records, instances = [], []
     for i, inst in enumerate(dataset.instances):
@@ -33,10 +42,7 @@ def main() -> None:
                   else ["hmm, thinking...", correct, correct])
         backend = MockChatBackend(script)
         selected, logs = solve_with_budget(
-            inst, config, backend, "pbe",
-            s_max=params.s_max, L_max=params.L_max,
-            identity_symbol=params.alphabet.symbols[0],
-            sleep=lambda _: None,
+            inst, config, backend, task, sleep=lambda _: None
         )
         print(f"{inst.id}: {len(logs)} attempts, selected "
               f"#{selected.attempt_index} "

@@ -18,20 +18,13 @@ import sys
 from dataclasses import fields
 from typing import Optional, Sequence
 
-from .core import Alphabet, RewriteRule
-from .evaluator import (
-    EVAL_KEYS,
-    EvalRecord,
-    aggregate_pbe,
-    aggregate_reorder,
-    breakdown_reports,
-    check_reorder_eval,
-    score_attempt,
-)
+from .core import FINITE_JSON, Alphabet, RewriteRule
+from .evaluator import aggregate_pbe, breakdown_reports
 from .gateway import (
-    FINITE_JSON,
     HttpChatBackend,
     MockChatBackend,
+    PbeTask,
+    ReorderTask,
     SolverConfig,
     TransportError,
     load_attempts,
@@ -192,18 +185,13 @@ def _load_dataset(path: str, kind: str, command: str):
 
 
 def _load_task(path: str, kind: str, command: str):
-    """The instances of a dataset file of either kind, the ids their attempt
-    logs carry, and the PBE limits to prompt and score them with."""
+    """The instances of a dataset file of either kind, and the task that
+    prompts and scores them: a PBE dataset's under its own limits."""
     loaded = _load_dataset(path, kind, command)
-    if kind == "pbe":
-        params = loaded.params
-        limits = {
-            "s_max": params.s_max,
-            "L_max": params.L_max,
-            "identity_symbol": params.alphabet.symbols[0],
-        }
-        return loaded.instances, [inst.id for inst in loaded.instances], limits
-    return loaded, [inst.source_id for inst in loaded], {}
+    if kind == "reorder":
+        return loaded, ReorderTask()
+    p = loaded.params
+    return loaded.instances, PbeTask(p.s_max, p.L_max, p.alphabet.symbols[0])
 
 
 def _run_solve(args, task_kind: str) -> int:
@@ -211,8 +199,8 @@ def _run_solve(args, task_kind: str) -> int:
     backend = _mock_backend(args.mock) if args.mock else HttpChatBackend()
     if not args.mock and not config.endpoint_url:
         raise CliError("an endpoint URL is required unless --mock is given")
-    instances, _, limits = _load_task(args.dataset, task_kind, args.command)
-    _, logs = solve_dataset(instances, config, backend, task_kind, **limits)
+    instances, task = _load_task(args.dataset, task_kind, args.command)
+    _, logs = solve_dataset(instances, config, backend, task)
     persist_attempts(logs, args.out)
     print(f"wrote {len(logs)} attempt logs to {args.out}")
     return 0
@@ -220,37 +208,37 @@ def _run_solve(args, task_kind: str) -> int:
 
 def _scored(kind: str, command: str, dataset_path: str,
             attempts_path: Optional[str],
-            predictions_path: Optional[str] = None) -> list[tuple]:
-    """(instance, eval) pairs in dataset order: an ``EvalRecord`` for PBE,
-    the eval dict ``check_reorder_eval`` passed for reorder.
+            predictions_path: Optional[str] = None) -> tuple:
+    """The task of a dataset file, and its (instance, eval) pairs in order.
 
     From an attempt log: the selected attempt of each instance that has
-    one, skipping a selection with no eval; an eval not of the shape
-    ``score_attempt`` stores for ``kind``, or a field of the wrong type in
-    it or in any log selection reads, is an error. From a predictions
-    file (an object mapping instance id to response text, null meaning no
-    response): every instance, scored by ``score_attempt``; the file must
-    name at least one instance of the dataset.
+    one, skipping a selection with no eval; an eval without exactly the
+    fields of the task's record, or a field of the wrong type in it or in
+    any log selection reads, is an error. From a predictions file (an
+    object mapping instance id to response text, null meaning no
+    response): every instance, scored by the task; the file must name at
+    least one instance of the dataset.
     """
-    instances, ids, limits = _load_task(dataset_path, kind, command)
-    decode = EvalRecord.from_dict if kind == "pbe" else check_reorder_eval
+    instances, task = _load_task(dataset_path, kind, command)
+    ids = [task.instance_id(inst) for inst in instances]
     pairs = []
     if attempts_path is not None:
+        keys = {f.name for f in fields(task.record)}
         by_instance: dict[str, list] = {}
         for log in load_attempts(attempts_path):
             by_instance.setdefault(log.instance_id, []).append(log)
         for inst, inst_id in zip(instances, ids):
             try:
-                chosen = select_attempt(by_instance.get(inst_id, ()), kind)
+                chosen = select_attempt(by_instance.get(inst_id, ()), task)
                 if chosen is None or chosen.eval is None:
                     continue
-                if chosen.eval.keys() != EVAL_KEYS[kind]:
+                if chosen.eval.keys() != keys:
                     raise CliError(
                         f"attempts file {attempts_path} does not hold {kind} "
                         f"attempts: the eval of {inst_id} has keys "
                         f"{sorted(chosen.eval)}"
                     )
-                pairs.append((inst, decode(chosen.eval)))
+                pairs.append((inst, task.record.from_dict(chosen.eval)))
             except TypeError as exc:
                 raise CliError(
                     f"attempts file {attempts_path} holds a malformed attempt "
@@ -271,27 +259,23 @@ def _scored(kind: str, command: str, dataset_path: str,
                 f"the dataset ({len(preds)} ids in the file)"
             )
         for inst, inst_id in zip(instances, ids):
-            eval_dict, _ = score_attempt(inst, preds.get(inst_id), kind, **limits)
-            pairs.append((inst, decode(eval_dict)))
+            record, _ = task.score(inst, preds.get(inst_id), 0)
+            pairs.append((inst, record))
     if not pairs:
         raise CliError("no scored attempts match the dataset")
-    return pairs
+    return task, pairs
 
 
 def _cmd_eval(args, kind: str) -> int:
-    pairs = _scored(
+    task, pairs = _scored(
         kind, args.command, args.dataset, args.attempts, args.predictions
     )
-    if kind == "pbe":
-        metrics = aggregate_pbe([record for _, record in pairs])
-    else:
-        metrics = aggregate_reorder([(inst, e["passed"]) for inst, e in pairs])
-    _write_json({"metrics": metrics.to_dict()}, args.out)
+    _write_json({"metrics": task.aggregate(pairs).to_dict()}, args.out)
     return 0
 
 
 def _cmd_report(args) -> int:
-    pairs = _scored("pbe", args.command, args.dataset, args.attempts)
+    _, pairs = _scored("pbe", args.command, args.dataset, args.attempts)
     records = [record for _, record in pairs]
     metrics = aggregate_pbe(records)
     bundle = breakdown_reports(records, [inst for inst, _ in pairs])

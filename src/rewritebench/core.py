@@ -9,12 +9,33 @@ the behaviour of ``str.replace``.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 
 class EmptySourceError(ValueError):
     """A rule with an empty find pattern cannot be executed."""
+
+
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a finite number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        _reject_constant(text)
+    return value
+
+
+# ``json.loads`` without NaN, Infinity and -Infinity, which JSON does not
+# have, and without a number literal such as 1e400 that overflows to one.
+# Built once: ``json.loads`` given a hook builds a decoder per call.
+FINITE_JSON = json.JSONDecoder(
+    parse_constant=_reject_constant, parse_float=_finite_float
+)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
@@ -339,62 +339,30 @@ def evaluate_reorder(
     return tuple(apply_cascade(cascade, instance.inputs)) == instance.outputs
 
 
-def check_reorder_eval(data: dict) -> dict:
-    """``data``, a reorder eval with the keys ``score_attempt`` stores;
-    TypeError if a field has the wrong type."""
-    passed, perm, index = data["passed"], data["perm"], data["attempt_index"]
-    if type(passed) is not bool:
-        raise TypeError(f"passed {passed!r} is not a boolean")
-    if perm is not None and not (
-        type(perm) is list and all(type(i) is int for i in perm)
-    ):
-        raise TypeError(f"perm {perm!r} is neither null nor a list of integers")
-    if type(index) is not int:
-        raise TypeError(f"attempt_index {index!r} is not an integer")
-    return data
+@dataclass(frozen=True)
+class ReorderEval:
+    """One reorder attempt's outcome; ``perm`` is None when no order was read."""
 
+    passed: bool
+    perm: Optional[list[int]]
+    attempt_index: int
 
-# The keys of the eval dict ``score_attempt`` stores, per task kind.
-EVAL_KEYS = {
-    "pbe": frozenset(f.name for f in fields(EvalRecord)),
-    "reorder": frozenset({"passed", "perm", "attempt_index"}),
-}
+    def to_dict(self) -> dict:
+        return dict(vars(self))
 
-
-def score_attempt(
-    instance,
-    text: Optional[str],
-    task_kind: str,
-    s_max: int = 3,
-    L_max: int = 5,
-    identity_symbol: str = "a",
-    attempt_index: int = 0,
-) -> tuple[dict, bool]:
-    """Score one response text (None for no response) for either task.
-
-    Returns the eval dict stored in the attempt log and whether a
-    prediction could be extracted. PBE evals are ``EvalRecord`` dicts;
-    reorder evals hold ``passed``, ``perm`` and ``attempt_index``. The
-    limits apply to PBE only.
-    """
-    if task_kind == "pbe":
-        cascade = extract_pbe_prediction(text)
-        normalized = None if cascade is None else normalize_cascade(
-            cascade, s_max=s_max, L_max=L_max, identity_symbol=identity_symbol,
-        )
-        record = evaluate_pbe(
-            instance, normalized, identity_symbol=identity_symbol,
-            attempt_index=attempt_index,
-        )
-        return record.to_dict(), normalized is not None
-    if task_kind == "reorder":
-        perm = extract_permutation(text, len(instance.scrambled))
-        passed = evaluate_reorder(instance, perm)
-        return (
-            {"passed": passed, "perm": perm, "attempt_index": attempt_index},
-            perm is not None,
-        )
-    raise ValueError(f"unknown task kind {task_kind!r}")
+    @classmethod
+    def from_dict(cls, data: dict) -> "ReorderEval":
+        """The record a ``to_dict`` dict holds; TypeError on a mistyped field."""
+        r = cls(**data)
+        if type(r.passed) is not bool:
+            raise TypeError(f"passed {r.passed!r} is not a boolean")
+        if r.perm is not None and not (
+            type(r.perm) is list and all(type(i) is int for i in r.perm)
+        ):
+            raise TypeError(f"perm {r.perm!r} is neither null nor a list of integers")
+        if type(r.attempt_index) is not int:
+            raise TypeError(f"attempt_index {r.attempt_index!r} is not an integer")
+        return r
 
 
 def aggregate_reorder(

@@ -16,9 +16,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Callable, NoReturn, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 
-from .evaluator import score_attempt
+from . import evaluator
+from .core import FINITE_JSON
 from .permuter import ReorderInstance
 from .proposer import PbeInstance
 
@@ -29,25 +30,6 @@ class TransportError(RuntimeError):
 
 class TransientBackendError(RuntimeError):
     """Retryable failure (connection drop or 5xx status)."""
-
-
-def _reject_constant(name: str) -> NoReturn:
-    raise ValueError(f"{name} is not a finite number")
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if math.isinf(value):
-        _reject_constant(text)
-    return value
-
-
-# ``json.loads`` without NaN, Infinity and -Infinity, which JSON does not
-# have, and without a number literal such as 1e400 that overflows to one.
-# Built once: ``json.loads`` given a hook builds a decoder per call.
-FINITE_JSON = json.JSONDecoder(
-    parse_constant=_reject_constant, parse_float=_finite_float
-)
 
 
 PBE_PROMPT_TEMPLATE = """\
@@ -397,12 +379,8 @@ class AttemptLog:
         log = cls(**data)
         if not isinstance(log.instance_id, str):
             raise TypeError(f"instance_id {log.instance_id!r} is not a string")
-        if not isinstance(log.attempt_index, int) or isinstance(
-            log.attempt_index, bool
-        ):
-            raise TypeError(
-                f"attempt_index {log.attempt_index!r} is not an integer"
-            )
+        if type(log.attempt_index) is not int:
+            raise TypeError(f"attempt_index {log.attempt_index!r} is not an integer")
         if log.eval is not None and not isinstance(log.eval, dict):
             raise TypeError(f"eval {log.eval!r} is neither null nor an object")
         return log
@@ -412,30 +390,87 @@ def prompt_hash(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+@dataclass(frozen=True)
+class PbeTask:
+    """Cascade induction under a PBE dataset's limits. ``record`` types an
+    attempt log's eval; ``rank_type`` names and types ``fail_rank``'s value."""
+
+    s_max: int = 3
+    L_max: int = 5
+    identity_symbol: str = "a"
+    record = evaluator.EvalRecord
+    rank_type = ("edit_sim", (int, float), "a number")
+
+    def instance_id(self, instance: PbeInstance) -> str:
+        return instance.id
+
+    def prompt(self, instance: PbeInstance) -> str:
+        return render_pbe_prompt(instance, s_max=self.s_max, L_max=self.L_max)
+
+    def score(self, instance: PbeInstance, text: Optional[str], attempt_index: int):
+        """The eval of a reply (None for none), and whether it held a cascade."""
+        cascade = evaluator.extract_pbe_prediction(text)
+        normalized = None if cascade is None else evaluator.normalize_cascade(
+            cascade, self.s_max, self.L_max, self.identity_symbol
+        )
+        record = evaluator.evaluate_pbe(
+            instance, normalized, self.identity_symbol, attempt_index
+        )
+        return record, normalized is not None
+
+    def fail_rank(self, log: AttemptLog) -> float:
+        """The edit similarity, or below every score for a log with no eval."""
+        return (log.eval or {}).get("edit_sim", -math.inf)
+
+    def aggregate(self, pairs: Sequence[tuple]) -> evaluator.AggregateMetrics:
+        return evaluator.aggregate_pbe([record for _, record in pairs])
+
+
+@dataclass(frozen=True)
+class ReorderTask:
+    """Order recovery: put a reorder instance's rules back in order."""
+
+    record = evaluator.ReorderEval
+    rank_type = ("extracted", (bool,), "a boolean")
+
+    def instance_id(self, instance: ReorderInstance) -> str:
+        return instance.source_id
+
+    def prompt(self, instance: ReorderInstance) -> str:
+        return render_reorder_prompt(instance)
+
+    def score(self, instance: ReorderInstance, text: Optional[str], attempt_index: int):
+        """The eval of a reply (None for none), and whether it held an order."""
+        perm = evaluator.extract_permutation(text, len(instance.scrambled))
+        passed = evaluator.evaluate_reorder(instance, perm)
+        return evaluator.ReorderEval(passed, perm, attempt_index), perm is not None
+
+    def fail_rank(self, log: AttemptLog) -> bool:
+        """Whether an answer was extracted."""
+        return log.extracted
+
+    def aggregate(self, pairs: Sequence[tuple]) -> evaluator.AggregateMetrics:
+        return evaluator.aggregate_reorder([(inst, e.passed) for inst, e in pairs])
+
+
+Task = PbeTask | ReorderTask
+
+
 def solve_with_budget(
     instance,
     config: SolverConfig,
     backend: ChatBackend,
-    task_kind: str,
-    s_max: int = 3,
-    L_max: int = 5,
-    identity_symbol: str = "a",
+    task: Task,
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[Optional[AttemptLog], list[AttemptLog]]:
     """Run the sampling budget for one instance and pick the best attempt.
 
     All K attempts are issued unless early_stop ends the loop at the first
-    pass. Each response is scored by ``score_attempt`` and the selection
+    pass. Each response is scored by ``task.score`` and the selection
     rule is ``select_attempt``'s.
     """
-    if task_kind == "pbe":
-        prompt = render_pbe_prompt(instance, s_max=s_max, L_max=L_max)
-        instance_id = instance.id
-    elif task_kind == "reorder":
-        prompt = render_reorder_prompt(instance)
-        instance_id = instance.source_id
-    else:
-        raise ValueError(f"unknown task kind {task_kind!r}")
+    prompt = task.prompt(instance)
+    instance_id = task.instance_id(instance)
     phash = prompt_hash(prompt)
 
     logs: list[AttemptLog] = []
@@ -447,49 +482,32 @@ def solve_with_budget(
             usage = response.token_usage
         except TransportError:
             text, finish, usage = None, "transport_error", {}
-        eval_dict, extracted = score_attempt(
-            instance, text, task_kind, s_max, L_max, identity_symbol, k
-        )
-        logs.append(
-            AttemptLog(
-                instance_id=instance_id,
-                attempt_index=k,
-                prompt_hash=phash,
-                raw_text=text,
-                finish_reason=finish,
-                token_usage=usage,
-                extracted=extracted,
-                eval=eval_dict,
-            )
-        )
-        if eval_dict["passed"] and config.early_stop:
+        record, extracted = task.score(instance, text, k)
+        logs.append(AttemptLog(
+            instance_id=instance_id, attempt_index=k, prompt_hash=phash,
+            raw_text=text, finish_reason=finish, token_usage=usage,
+            extracted=extracted, eval=record.to_dict(),
+        ))
+        if record.passed and config.early_stop:
             break
 
-    selected = select_attempt(logs, task_kind)
-    return selected, logs
+    return select_attempt(logs, task), logs
 
 
-def select_attempt(logs: Sequence[AttemptLog], task_kind: str) -> Optional[AttemptLog]:
+def select_attempt(logs: Sequence[AttemptLog], task: Task) -> Optional[AttemptLog]:
     """Apply the selection rule to a set of scored attempt logs.
 
     The passing attempt with the lowest index wins. Without one, the
-    attempt with the highest edit similarity (PBE) or with an extracted
-    answer (reorder) wins, ties going to the lowest index; a PBE log with
-    no eval ranks below every scored one. The result does not depend on
-    the order of ``logs``. Every log's ``passed``, and its ``edit_sim``
-    (PBE) or ``extracted`` (reorder), is checked: a value of the wrong type
+    attempt that ``task.fail_rank`` ranks highest wins, ties going to the
+    lowest index. The result does not depend on the order of ``logs``.
+    Every log's ``passed`` and rank are checked: a value of the wrong type
     raises TypeError naming the attempt and the field.
     """
-    pbe = task_kind == "pbe"
-    name, types, what = (
-        ("edit_sim", (int, float), "a number") if pbe
-        else ("extracted", (bool,), "a boolean")
-    )
+    name, types, what = task.rank_type
     best = best_rank = None
     for log in logs:
-        e = log.eval or {}
-        passed = e.get("passed", False)
-        score = e.get("edit_sim", -math.inf) if pbe else log.extracted
+        passed = (log.eval or {}).get("passed", False)
+        score = task.fail_rank(log)
         if type(passed) is not bool:
             raise TypeError(
                 f"attempt {log.attempt_index}: passed {passed!r} is not a boolean"
@@ -510,13 +528,14 @@ def solve_dataset(
     instances: Sequence,
     config: SolverConfig,
     backend: ChatBackend,
-    task_kind: str,
+    task_kind: Task | str,
     s_max: int = 3,
     L_max: int = 5,
     identity_symbol: str = "a",
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[list[Optional[AttemptLog]], list[AttemptLog]]:
-    """Solve every instance on max_in_flight worker threads.
+    """Solve every instance of ``task_kind``, a task or "pbe" (a ``PbeTask``
+    of the three limits) or "reorder", on max_in_flight worker threads.
 
     Each worker takes the next instance not yet taken until none is left.
     Results are returned in instance order regardless of completion order.
@@ -524,6 +543,13 @@ def solve_dataset(
     starts another instance; the first such exception is re-raised after
     the instances already started have finished.
     """
+    task = task_kind
+    if task_kind == "pbe":
+        task = PbeTask(s_max, L_max, identity_symbol)
+    elif task_kind == "reorder":
+        task = ReorderTask()
+    elif isinstance(task_kind, str):
+        raise ValueError(f"unknown task kind {task_kind!r}")
     results: list = [None] * len(instances)
     indices = iter(range(len(instances)))
     lock = threading.Lock()
@@ -537,9 +563,7 @@ def solve_dataset(
                 return
             try:
                 results[i] = solve_with_budget(
-                    instances[i], config, backend, task_kind,
-                    s_max=s_max, L_max=L_max,
-                    identity_symbol=identity_symbol, sleep=sleep,
+                    instances[i], config, backend, task, sleep=sleep
                 )
             except BaseException as exc:
                 with lock:

@@ -17,6 +17,7 @@ from typing import Optional
 from .core import (
     Cascade,
     EmptySourceError,
+    FINITE_JSON,
     apply_cascade,
     decode_rules,
     encode_rules,
@@ -184,5 +185,5 @@ def save_perm_dataset(instances: list[ReorderInstance], path: str) -> None:
 
 def load_perm_dataset(path: str) -> list[ReorderInstance]:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = FINITE_JSON.decode(fh.read())
     return [ReorderInstance.from_dict(d) for d in data["instances"]]

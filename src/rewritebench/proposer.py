@@ -17,6 +17,7 @@ from typing import Collection, Optional, Sequence
 from .core import (
     Alphabet,
     Cascade,
+    FINITE_JSON,
     RewriteRule,
     apply_rule_vec,
     decode_rules,
@@ -208,7 +209,7 @@ class Dataset:
     @classmethod
     def load(cls, path: str) -> "Dataset":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(FINITE_JSON.decode(fh.read()))
 
 
 def _below(getrandbits, n: int) -> int:

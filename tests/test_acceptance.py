@@ -25,6 +25,7 @@ from rewritebench.evaluator import (
 )
 from rewritebench.gateway import (
     MockChatBackend,
+    PbeTask,
     SolverConfig,
     load_attempts,
     persist_attempts,
@@ -302,6 +303,7 @@ def test_criterion_12_offline_end_to_end(lite_dataset, tmp_path):
     start = time.time()
     instances = lite_dataset.instances[:10]
     config = SolverConfig(sampling_budget=4, max_in_flight=1)
+    task = PbeTask()
     all_logs = []
     selected = []
     for inst in instances:
@@ -312,7 +314,7 @@ def test_criterion_12_offline_end_to_end(lite_dataset, tmp_path):
         # attempts 0-1 miss, attempts 2-3 hit; first pass must be selected
         backend = MockChatBackend(["no block", "```python\n['bad']\n```", gt, gt])
         sel, logs = solve_with_budget(
-            inst, config, backend, "pbe", sleep=lambda _: None
+            inst, config, backend, task, sleep=lambda _: None
         )
         selected.append(sel)
         all_logs.extend(logs)
@@ -328,7 +330,7 @@ def test_criterion_12_offline_end_to_end(lite_dataset, tmp_path):
         for log in logs:
             by_id.setdefault(log.instance_id, []).append(log)
         chosen = [
-            select_attempt(sorted(v, key=lambda lg: lg.attempt_index), "pbe")
+            select_attempt(sorted(v, key=lambda lg: lg.attempt_index), task)
             for v in by_id.values()
         ]
         return aggregate_pbe(

@@ -396,6 +396,102 @@ class TestSolveEvalReport:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "6c8a04ddf33aa26b3f11c836c6df00141acd08458f0a477896de60c154084fa2"
         )
+        evaluated = tmp_path / "eval.json"
+        code, _, err = run(
+            capsys, "eval", "--dataset", str(small_dataset),
+            "--attempts", str(attempts), "--out", str(evaluated),
+        )
+        assert code == 0, err
+        assert hashlib.sha256(evaluated.read_bytes()).hexdigest() == (
+            "934a34a67d4751ac286c9e02175a6bc42a055b80f21786740f52f7e8a3408a6a"
+        )
+
+    @staticmethod
+    def _reorder_replies(perm_path):
+        """Per reorder instance, in file order: a right order, a wrong
+        order, no block, and a list that is not a permutation."""
+        replies = []
+        for rec in json.loads(pathlib.Path(perm_path).read_text())["instances"]:
+            order = rec["gt_order"]
+            replies.append([
+                f"```json\n{json.dumps(order)}\n```",
+                f"```json\n{json.dumps(order[::-1])}\n```",
+                "no block here",
+                f"```json\n{json.dumps([0] * len(order))}\n```",
+            ])
+        return replies
+
+    def test_reorder_attempts_and_eval_pinned(self, datasets, tmp_path, capsys):
+        # Two attempts per instance at max_in_flight 1: instance i gets
+        # replies i and i + 3 (mod 4) of its four, so some instances pass
+        # on either attempt, and the rest fall back to an extracted order
+        # or, with none, to the first attempt.
+        replies = self._reorder_replies(datasets["eval-reorder"])
+        script = [r[(i + 3 * k) % 4]
+                  for i, r in enumerate(replies) for k in range(2)]
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(script))
+        config = tmp_path / "solver.json"
+        config.write_text(json.dumps({"max_in_flight": 1, "sampling_budget": 2}))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve-reorder", "--dataset", str(datasets["eval-reorder"]),
+            "--out", str(attempts), "--mock", str(mock),
+            "--config", str(config),
+        )
+        assert code == 0, err
+        out = tmp_path / "eval.json"
+        code, _, err = run(
+            capsys, "eval-reorder", "--dataset", str(datasets["eval-reorder"]),
+            "--attempts", str(attempts), "--out", str(out),
+        )
+        assert code == 0, err
+        assert hashlib.sha256(attempts.read_bytes()).hexdigest() == (
+            "0e1fe9813843568f43a133f513ef21c92de3349ec617ec75c0d6633e60e3a815"
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7d973809a08f3ada4ac78c55aa96db7efd2715957cdc52083fb55a7a9959a5bc"
+        )
+
+    @pytest.mark.parametrize("command, digest", [
+        ("eval", "9e3395a275ed6cf56ade965af3fcbcb206b25a4ace44fd759e0e112af227b09c"),
+        ("eval-reorder", "1e8e3727cd670d0d854100b549e75b15066cf761b773c430e4ed61124830b501"),
+    ])
+    def test_predictions_eval_pinned(
+        self, datasets, tmp_path, capsys, command, digest
+    ):
+        # Instance i gets reply i mod 5: null, and four replies that pass,
+        # fail, or hold no answer. Every sixth instance is left out of the
+        # file and scores as no response.
+        data = json.loads(pathlib.Path(datasets[command]).read_text())
+
+        def block(rules):
+            return "```python\n[" + ", ".join(
+                f"\"replace('{p['find']}','{p['replace']}')\"" for p in rules
+            ) + "]\n```"
+
+        if command == "eval":
+            replies = [
+                [block(rec["programs"][:1]), block(rec["programs"]),
+                 "no code here",
+                 "```python\n[\"replace('a','b')\"]\n```"]
+                for rec in data["instances"]
+            ]
+        else:
+            replies = self._reorder_replies(datasets[command])
+        preds = {
+            rec["id"]: None if i % 5 == 4 else replies[i][i % 5]
+            for i, rec in enumerate(data["instances"]) if i % 6 != 5
+        }
+        pred_file = tmp_path / "preds.json"
+        pred_file.write_text(json.dumps(preds))
+        out = tmp_path / "eval.json"
+        code, _, err = run(
+            capsys, command, "--dataset", str(datasets[command]),
+            "--predictions", str(pred_file), "--out", str(out),
+        )
+        assert code == 0, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_eval_with_inline_predictions(self, small_dataset, tmp_path, capsys):
         data = json.loads(small_dataset.read_text())

@@ -13,6 +13,7 @@ from rewritebench.evaluator import (
     _PLAIN_RE,
     INVALID_CATEGORY,
     EvalRecord,
+    ReorderEval,
     aggregate_pbe,
     aggregate_reorder,
     breakdown_reports,
@@ -23,8 +24,8 @@ from rewritebench.evaluator import (
     normalize_cascade,
     parse_rule_string,
     pass_at_k_estimate,
-    score_attempt,
 )
+from rewritebench.gateway import PbeTask
 from rewritebench.permuter import ReorderInstance
 from rewritebench.proposer import PbeInstance
 from rewritebench.relations import classify_bfcc
@@ -329,11 +330,11 @@ class TestScoreAttempt:
         self, text, extracted, length, category, complexity
     ):
         inst = make_instance([("a", "b")], ["ab", "ba"])
-        record, found = score_attempt(inst, text, "pbe")
+        record, found = PbeTask().score(inst, text, 0)
         assert found is extracted
-        assert record["pred_length"] == length
-        assert record["pred_category"] == category
-        assert record["complexity"] == complexity
+        assert record.pred_length == length
+        assert record.pred_category == category
+        assert record.complexity == complexity
 
 
 class TestEvaluatePbe:
@@ -411,6 +412,25 @@ class TestEvalRecordFromDict:
         data = dict(self._record().to_dict(), **{field: value})
         with pytest.raises(TypeError, match=f"^{field} .* is not {what}$"):
             EvalRecord.from_dict(data)
+
+
+class TestReorderEvalFromDict:
+    @pytest.mark.parametrize("perm", [None, [1, 0]])
+    def test_round_trip(self, perm):
+        record = ReorderEval(passed=perm is not None, perm=perm, attempt_index=2)
+        assert list(record.to_dict()) == ["passed", "perm", "attempt_index"]
+        assert ReorderEval.from_dict(record.to_dict()) == record
+
+    @pytest.mark.parametrize("field, value, what", [
+        ("passed", 0, "not a boolean"),
+        ("perm", "x", "neither null nor a list of integers"),
+        ("perm", [True], "neither null nor a list of integers"),
+        ("attempt_index", 1.0, "not an integer"),
+    ])
+    def test_wrong_type_rejected(self, field, value, what):
+        data = dict(ReorderEval(True, [0], 0).to_dict(), **{field: value})
+        with pytest.raises(TypeError, match=f"^{field} .* is {what}$"):
+            ReorderEval.from_dict(data)
 
 
 class TestAggregation:

@@ -13,18 +13,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rewritebench.core import RewriteRule, apply_cascade
-from rewritebench.evaluator import EvalRecord, aggregate_pbe, score_attempt
+from rewritebench.evaluator import EvalRecord, aggregate_pbe
 from rewritebench.gateway import (
     AttemptLog,
     BackendResult,
     HttpChatBackend,
     MockChatBackend,
+    PbeTask,
+    ReorderTask,
     SolverConfig,
     TransientBackendError,
     TransportError,
     chat_send,
     load_attempts,
     persist_attempts,
+    prompt_hash,
     render_pbe_prompt,
     render_reorder_prompt,
     select_attempt,
@@ -36,6 +39,9 @@ from rewritebench.proposer import PbeInstance
 from rewritebench.relations import classify_bfcc
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+PBE = PbeTask(s_max=3, L_max=5, identity_symbol="a")
+REORDER = ReorderTask()
+TASKS = {"pbe": PBE, "reorder": REORDER}
 
 
 def make_instance(rules, inputs, id="inst"):
@@ -225,7 +231,7 @@ class TestSolveWithBudget:
         )
         config = SolverConfig(sampling_budget=5)
         selected, logs = solve_with_budget(
-            inst, config, backend, "pbe", sleep=lambda _: None
+            inst, config, backend, PBE, sleep=lambda _: None
         )
         assert len(logs) == 5
         assert selected.attempt_index == 2
@@ -236,7 +242,7 @@ class TestSolveWithBudget:
         backend = MockChatBackend(["nope", gt_response(inst), "unused"])
         config = SolverConfig(sampling_budget=5, early_stop=True)
         _, logs = solve_with_budget(
-            inst, config, backend, "pbe", sleep=lambda _: None
+            inst, config, backend, PBE, sleep=lambda _: None
         )
         assert len(logs) == 2
 
@@ -251,7 +257,7 @@ class TestSolveWithBudget:
         backend = MockChatBackend(texts)
         config = SolverConfig(sampling_budget=3)
         selected, logs = solve_with_budget(
-            inst, config, backend, "pbe", sleep=lambda _: None
+            inst, config, backend, PBE, sleep=lambda _: None
         )
         sims = [lg.eval["edit_sim"] for lg in logs]
         assert selected.eval["edit_sim"] == max(sims)
@@ -262,7 +268,7 @@ class TestSolveWithBudget:
         backend = MockChatBackend(["no", "no", "no"])
         config = SolverConfig(sampling_budget=3)
         selected, _ = solve_with_budget(
-            inst, config, backend, "pbe", sleep=lambda _: None
+            inst, config, backend, PBE, sleep=lambda _: None
         )
         assert selected.attempt_index == 0
 
@@ -271,7 +277,7 @@ class TestSolveWithBudget:
         backend = MockChatBackend([BackendResult(500, {})])
         config = SolverConfig(sampling_budget=2, retry_count=0)
         _, logs = solve_with_budget(
-            inst, config, backend, "pbe", sleep=lambda _: None
+            inst, config, backend, PBE, sleep=lambda _: None
         )
         assert len(logs) == 2
         assert all(lg.raw_text is None for lg in logs)
@@ -283,7 +289,7 @@ class TestSolveWithBudget:
         )
         config = SolverConfig(sampling_budget=2)
         selected, logs = solve_with_budget(
-            GOLDEN_REORDER, config, backend, "reorder", sleep=lambda _: None
+            GOLDEN_REORDER, config, backend, REORDER, sleep=lambda _: None
         )
         assert selected.attempt_index == 1
         assert selected.eval["passed"]
@@ -294,16 +300,10 @@ class TestSolveWithBudget:
         )
         config = SolverConfig(sampling_budget=3)
         selected, _ = solve_with_budget(
-            GOLDEN_REORDER, config, backend, "reorder", sleep=lambda _: None
+            GOLDEN_REORDER, config, backend, REORDER, sleep=lambda _: None
         )
         assert selected.attempt_index == 1
         assert not selected.eval["passed"]
-
-    def test_unknown_task_kind(self):
-        with pytest.raises(ValueError):
-            solve_with_budget(
-                GOLDEN_PBE, SolverConfig(), MockChatBackend(["x"]), "riddle"
-            )
 
     @pytest.mark.parametrize("kind, inst, texts", [
         ("pbe", make_instance([("ab", "bc")], ["abab"]), [
@@ -316,17 +316,17 @@ class TestSolveWithBudget:
         ]),
     ])
     def test_logged_eval_is_score_attempt(self, kind, inst, texts):
+        """Each logged eval is what the task's ``score`` gives its text."""
+        task = TASKS[kind]
         backend = MockChatBackend(texts + [BackendResult(500, {})])
         config = SolverConfig(sampling_budget=4, retry_count=0)
         _, logs = solve_with_budget(
-            inst, config, backend, kind, s_max=3, L_max=5,
-            identity_symbol="a", sleep=lambda _: None,
+            inst, config, backend, task, sleep=lambda _: None,
         )
         assert [lg.raw_text for lg in logs] == texts + [None]
         for lg in logs:
-            assert score_attempt(
-                inst, lg.raw_text, kind, 3, 5, "a", lg.attempt_index
-            ) == (lg.eval, lg.extracted)
+            record, extracted = task.score(inst, lg.raw_text, lg.attempt_index)
+            assert (record.to_dict(), extracted) == (lg.eval, lg.extracted)
 
 
 class PromptKeyedBackend:
@@ -435,7 +435,7 @@ class TestSolveDataset:
         config = SolverConfig(sampling_budget=3, max_in_flight=max_in_flight)
         serial_backend = PromptKeyedBackend(reply)
         serial = [
-            solve_with_budget(inst, config, serial_backend, kind,
+            solve_with_budget(inst, config, serial_backend, TASKS[kind],
                               sleep=lambda _: None)
             for inst in instances
         ]
@@ -450,6 +450,31 @@ class TestSolveDataset:
             lg.to_dict() for _, attempt_logs in serial for lg in attempt_logs
         ]
         assert {s.eval["passed"] for s in selected} == {True, False}
+
+    def test_unknown_task_kind(self):
+        with pytest.raises(ValueError, match="unknown task kind 'riddle'"):
+            solve_dataset(
+                [GOLDEN_PBE], SolverConfig(), MockChatBackend(["x"]), "riddle"
+            )
+
+    @pytest.mark.parametrize("kind", ["pbe", "reorder"])
+    def test_task_or_its_kind(self, kind):
+        """The kind string, with the PBE limits, builds the task that
+        ``solve_dataset`` would otherwise be given."""
+        instances, _ = DATASETS[kind](6)
+        script = ["no block here", "```json\n[1,0]\n```",
+                  "```python\n[\"replace('ab','c')\", \"replace('c','ba')\"]\n```"]
+        config = SolverConfig(sampling_budget=2, max_in_flight=1)
+        task = PbeTask(2, 1, "b") if kind == "pbe" else REORDER
+        by_task = solve_dataset(instances, config, MockChatBackend(script),
+                                task, sleep=lambda _: None)
+        by_kind = solve_dataset(instances, config, MockChatBackend(script),
+                                kind, s_max=2, L_max=1, identity_symbol="b",
+                                sleep=lambda _: None)
+        assert [lg.to_dict() for lg in by_task[1]] == [
+            lg.to_dict() for lg in by_kind[1]
+        ]
+        assert by_task[1][0].prompt_hash == prompt_hash(task.prompt(instances[0]))
 
     def test_no_instances(self):
         config = SolverConfig(max_in_flight=2)
@@ -527,7 +552,7 @@ class TestMockChatBackend:
         assert len(backend.calls) == threads * per_thread
 
 
-def reference_select(logs, task_kind):
+def reference_select(logs, task):
     """The selection as two separate rules over logs sorted by attempt
     index: PBE takes the first pass, else the highest edit similarity;
     reorder the first pass, else the first extracted, else the first."""
@@ -537,7 +562,7 @@ def reference_select(logs, task_kind):
     for log in logs:
         if log.eval and log.eval.get("passed"):
             return log
-    if task_kind == "pbe":
+    if isinstance(task, PbeTask):
         return max(
             logs,
             key=lambda lg: (
@@ -577,9 +602,9 @@ _logs = st.lists(
 
 
 @settings(max_examples=500, deadline=None)
-@given(logs=_logs, task_kind=st.sampled_from(["pbe", "reorder"]))
-def test_select_attempt_matches_reference_in_any_order(logs, task_kind):
-    assert select_attempt(logs, task_kind) is reference_select(logs, task_kind)
+@given(logs=_logs, task=st.sampled_from([PBE, REORDER]))
+def test_select_attempt_matches_reference_in_any_order(logs, task):
+    assert select_attempt(logs, task) is reference_select(logs, task)
 
 
 class TestPersistence:
@@ -588,7 +613,7 @@ class TestPersistence:
         backend = MockChatBackend([gt_response(inst), "nope"])
         config = SolverConfig(sampling_budget=2)
         _, logs = solve_with_budget(
-            inst, config, backend, "pbe", sleep=lambda _: None
+            inst, config, backend, PBE, sleep=lambda _: None
         )
         return logs
 
@@ -617,13 +642,13 @@ class TestPersistence:
     def test_replay_reproduces_metrics(self, tmp_path):
         logs = self._logs()
         original = aggregate_pbe(
-            [EvalRecord.from_dict(select_attempt(logs, "pbe").eval)]
+            [EvalRecord.from_dict(select_attempt(logs, PBE).eval)]
         )
         path = tmp_path / "attempts.jsonl"
         persist_attempts(logs, str(path))
         loaded = load_attempts(str(path))
         replayed = aggregate_pbe(
-            [EvalRecord.from_dict(select_attempt(loaded, "pbe").eval)]
+            [EvalRecord.from_dict(select_attempt(loaded, PBE).eval)]
         )
         assert replayed.to_dict() == original.to_dict()
 

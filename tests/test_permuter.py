@@ -263,6 +263,21 @@ class TestBuildPermDataset:
         loaded = load_perm_dataset(str(path))
         assert loaded == instances
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+    def test_load_rejects_a_non_finite_number(self, tmp_path, literal):
+        instance = ReorderInstance(
+            source_id="x", inputs=("a",), outputs=("x",),
+            scrambled=(RewriteRule("bc", "x"), RewriteRule("a", "bc")),
+            gt_order=(1, 0), n_valid_orders=1, is_unique=True,
+        )
+        path = tmp_path / "perm.json"
+        save_perm_dataset([instance], str(path))
+        text = path.read_text()
+        assert '"n_valid_orders": 1,' in text
+        path.write_text(text.replace('"n_valid_orders": 1', f'"n_valid_orders": {literal}'))
+        with pytest.raises(ValueError, match=f"^{literal} is not a finite number"):
+            load_perm_dataset(str(path))
+
     def test_lite_perm_bytes_pinned(self):
         # The pinned hash is of the perm set the order count gave when it
         # still enumerated every permutation.

@@ -346,6 +346,16 @@ class TestGenerateDataset:
         loaded = Dataset.load(str(path))
         assert loaded.to_dict() == ds.to_dict()
 
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
+    def test_load_rejects_a_non_finite_number(self, tmp_path, literal):
+        path = tmp_path / "ds.json"
+        Dataset(params=tiny_params(), instances=[]).save(str(path))
+        text = path.read_text()
+        assert '"n": 2,' in text
+        path.write_text(text.replace('"n": 2', f'"n": {literal}', 1))
+        with pytest.raises(ValueError, match=f"^{literal} is not a finite number"):
+            Dataset.load(str(path))
+
     def test_config_without_t_min_keeps_instances(self):
         # A lite-shaped config written before t_min existed: replacements
         # keep lengths s_min..s_max, and the pinned hash is of the instances
