@@ -7,6 +7,11 @@ calculus, and balance statistics.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime or transport
 error.
+
+Importing this module loads only ``core``, ``relations`` and ``proposer``.
+A handler imports ``gateway``, ``evaluator`` or ``permuter`` when it runs,
+so ``gen``, ``perm``, ``stats`` and ``verify-relations`` do not pay for
+the solver and the scorer at start-up.
 """
 
 from __future__ import annotations
@@ -18,21 +23,7 @@ import sys
 from dataclasses import fields
 from typing import Optional, Sequence
 
-from .core import FINITE_JSON, Alphabet, RewriteRule
-from .evaluator import aggregate_pbe, breakdown_reports
-from .gateway import (
-    HttpChatBackend,
-    MockChatBackend,
-    PbeTask,
-    ReorderTask,
-    SolverConfig,
-    TransportError,
-    load_attempts,
-    persist_attempts,
-    select_attempt,
-    solve_dataset,
-)
-from .permuter import ReorderInstance, build_perm_dataset, save_perm_dataset
+from .core import FINITE_JSON, Alphabet, RewriteRule, TransportError
 from .proposer import (
     POST_PATIENCE_POLICIES,
     QUOTA_MODES,
@@ -131,6 +122,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_perm(args) -> int:
+    from .permuter import build_perm_dataset, save_perm_dataset
+
     dataset = _load_dataset(args.dataset, "pbe", args.command)
     instances = build_perm_dataset(dataset, order_count_cap=args.cap)
     save_perm_dataset(instances, args.out)
@@ -142,7 +135,9 @@ def _cmd_perm(args) -> int:
     return 0
 
 
-def _mock_backend(path: str) -> MockChatBackend:
+def _mock_backend(path: str):
+    from .gateway import MockChatBackend
+
     script = _load_json(path)
     if not isinstance(script, list) or not all(
         isinstance(x, str) for x in script
@@ -179,6 +174,8 @@ def _load_dataset(path: str, kind: str, command: str):
     try:
         if kind == "pbe":
             return Dataset.from_dict(data)
+        from .permuter import ReorderInstance
+
         return [ReorderInstance.from_dict(d) for d in data["instances"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed dataset file {path}: {exc!r}")
@@ -187,6 +184,8 @@ def _load_dataset(path: str, kind: str, command: str):
 def _load_task(path: str, kind: str, command: str):
     """The instances of a dataset file of either kind, and the task that
     prompts and scores them: a PBE dataset's under its own limits."""
+    from .gateway import PbeTask, ReorderTask
+
     loaded = _load_dataset(path, kind, command)
     if kind == "reorder":
         return loaded, ReorderTask()
@@ -195,6 +194,10 @@ def _load_task(path: str, kind: str, command: str):
 
 
 def _run_solve(args, task_kind: str) -> int:
+    from .gateway import (
+        HttpChatBackend, SolverConfig, persist_attempts, solve_dataset,
+    )
+
     config = _settings(args, SolverConfig, {}, "solver")
     backend = _mock_backend(args.mock) if args.mock else HttpChatBackend()
     if not args.mock and not config.endpoint_url:
@@ -219,6 +222,8 @@ def _scored(kind: str, command: str, dataset_path: str,
     response): every instance, scored by the task; the file must name at
     least one instance of the dataset.
     """
+    from .gateway import load_attempts, select_attempt
+
     instances, task = _load_task(dataset_path, kind, command)
     ids = [task.instance_id(inst) for inst in instances]
     pairs = []
@@ -275,6 +280,8 @@ def _cmd_eval(args, kind: str) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .evaluator import aggregate_pbe, breakdown_reports
+
     _, pairs = _scored("pbe", args.command, args.dataset, args.attempts)
     records = [record for _, record in pairs]
     metrics = aggregate_pbe(records)

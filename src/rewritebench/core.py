@@ -19,6 +19,13 @@ class EmptySourceError(ValueError):
     """A rule with an empty find pattern cannot be executed."""
 
 
+class TransportError(RuntimeError):
+    """Unrecoverable backend failure (retries exhausted, auth, bad envelope).
+
+    Raised by ``gateway``; defined here so that the command line can map it
+    to its exit code without importing the solver."""
+
+
 def _reject_constant(name: str) -> NoReturn:
     raise ValueError(f"{name} is not a finite number")
 

@@ -14,7 +14,6 @@ import ast
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
@@ -295,8 +294,10 @@ def aggregate_pbe(records: Sequence[EvalRecord]) -> AggregateMetrics:
 def pass_at_k_estimate(n: int, c: int, k: int) -> float:
     """Fraction of size-k subsets of n attempts containing a success.
 
-    Exact combinatorics (1 - C(n-c,k)/C(n,k)) evaluated as a Fraction, so
-    there is no overflow or rounding inside the estimator.
+    Exact combinatorics, 1 - C(n-c,k)/C(n,k), taken as the one integer
+    quotient (C(n,k) - C(n-c,k)) / C(n,k). Python rounds int / int
+    correctly at any size, so the only rounding is that of the result and
+    nothing overflows.
     """
     if not (0 <= c <= n):
         raise ValueError("need 0 <= c <= n")
@@ -304,7 +305,8 @@ def pass_at_k_estimate(n: int, c: int, k: int) -> float:
         raise ValueError("need 1 <= k <= n")
     if n - c < k:
         return 1.0
-    return float(1 - Fraction(comb(n - c, k), comb(n, k)))
+    total = comb(n, k)
+    return (total - comb(n - c, k)) / total
 
 
 def extract_permutation(text: str, m: int) -> Optional[list[int]]:

@@ -14,18 +14,13 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Protocol, Sequence
 
 from . import evaluator
-from .core import FINITE_JSON
+from .core import FINITE_JSON, TransportError  # re-exported; see core
 from .permuter import ReorderInstance
 from .proposer import PbeInstance
-
-
-class TransportError(RuntimeError):
-    """Unrecoverable backend failure (retries exhausted, auth, bad envelope)."""
 
 
 class TransientBackendError(RuntimeError):
@@ -570,17 +565,19 @@ def solve_dataset(
                     failures.append(exc)
                 return
 
-    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        try:
-            workers = [
-                pool.submit(work)
-                for _ in range(min(config.max_in_flight, len(instances)))
-            ]
-            for worker in workers:
-                worker.result()
-        except BaseException as exc:
-            with lock:
-                failures.append(exc)
+    started: list[threading.Thread] = []
+    try:
+        for _ in range(min(config.max_in_flight, len(instances))):
+            worker = threading.Thread(target=work)
+            worker.start()
+            started.append(worker)
+        for worker in started:
+            worker.join()
+    except BaseException as exc:
+        with lock:
+            failures.append(exc)
+        for worker in started:
+            worker.join()
     if failures:
         raise failures[0]
     selected = [sel for sel, _ in results]

@@ -3,13 +3,16 @@ reproducibility of generated artifacts."""
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from dataclasses import fields
 
-from rewritebench import cli
+from rewritebench import core, gateway
 from rewritebench.cli import dispatch
 from rewritebench.core import RewriteRule, apply_rule
 from rewritebench.gateway import SolverConfig
@@ -308,7 +311,7 @@ class TestSolveEvalReport:
             seen.append(config)
             return [], []
 
-        monkeypatch.setattr(cli, "solve_dataset", solve_dataset)
+        monkeypatch.setattr(gateway, "solve_dataset", solve_dataset)
         argv = [str(a) for flag, (_, value) in flags.items()
                 for a in (flag, value)]
         code, _, err = run(
@@ -1053,3 +1056,59 @@ class TestVerifyRelations:
         assert code == 1
         assert message in err
         assert stdout == ""
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def loaded_after_import(module, candidates):
+    """Which of ``candidates`` are in ``sys.modules`` after a fresh
+    interpreter imports ``module``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = (
+        f"import sys, {module}\n"
+        f"print(*[m for m in {candidates!r} if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+class TestStartup:
+    """Each command imports what it runs when it starts, so importing the
+    command line leaves the solver, the scorer and their stdlib out."""
+
+    def test_cli_import_leaves_out_solver_and_scorer(self):
+        assert loaded_after_import("rewritebench.cli", [
+            "rewritebench.gateway", "rewritebench.evaluator",
+            "rewritebench.permuter", "hashlib", "concurrent.futures",
+            "logging", "fractions", "decimal",
+        ]) == []
+
+    def test_gateway_import_leaves_out_pool_and_fractions(self):
+        assert loaded_after_import("rewritebench.gateway", [
+            "concurrent.futures", "logging", "fractions",
+        ]) == []
+
+    def test_transport_error_is_one_class(self):
+        assert gateway.TransportError is core.TransportError
+
+    def test_transport_failure_exits_2(
+        self, small_dataset, tmp_path, capsys, monkeypatch
+    ):
+        def solve_dataset(*args, **kwargs):
+            raise gateway.TransportError("retries exhausted")
+
+        monkeypatch.setattr(gateway, "solve_dataset", solve_dataset)
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(["no block here"]))
+        code, out, err = run(
+            capsys, "solve", "--dataset", str(small_dataset),
+            "--out", str(tmp_path / "att.jsonl"), "--mock", str(mock),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "transport error: retries exhausted\n"

@@ -4,6 +4,8 @@ estimator against an enumeration oracle, and the breakdown reports."""
 import ast
 import itertools
 import re
+from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -483,6 +485,16 @@ class TestPassAtK:
             assert pass_at_k_estimate(n, c, k + 1) >= v - 1e-12
         if c < n:
             assert pass_at_k_estimate(n, c + 1, k) >= v - 1e-12
+
+    @given(st.integers(1, 400), st.data())
+    @settings(max_examples=300)
+    def test_same_float_as_the_exact_fraction(self, n, data):
+        c = data.draw(st.integers(0, n))
+        k = data.draw(st.integers(1, n))
+        expected = 1.0 if n - c < k else float(
+            1 - Fraction(comb(n - c, k), comb(n, k))
+        )
+        assert pass_at_k_estimate(n, c, k) == expected
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
