@@ -223,7 +223,9 @@ def evaluate_pbe(
 
     A null prediction executes as a single identity program, so its outputs
     equal the inputs and edit similarity lands exactly on the
-    do-nothing baseline of 0.
+    do-nothing baseline of 0. A prediction that leaves the inputs unchanged
+    scores ``edit_sim`` 0 without a distance computation, since
+    1 - d/d is exactly 0.0.
     """
     if prediction is None:
         executed: Cascade = (RewriteRule(identity_symbol, identity_symbol),)
@@ -243,7 +245,7 @@ def evaluate_pbe(
     degenerate = instance.inputs == instance.outputs
     if passed:
         edit_sim = 1.0
-    elif degenerate:
+    elif degenerate or pred_outputs == instance.inputs:
         edit_sim = 0.0
     else:
         edit_sim = 1.0 - levenshtein_vec(
@@ -316,9 +318,11 @@ def extract_permutation(text: str, m: int) -> Optional[list[int]]:
         raise ValueError("m must be at least 1")
     last: Optional[list[int]] = None
     for match in _FENCE_RE.finditer(text or ""):
+        # ValueError covers JSONDecodeError and an integer over the
+        # interpreter's digit limit.
         try:
             parsed = json.loads(match.group(1).strip())
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):
             continue
         if isinstance(parsed, list) and all(
             isinstance(x, int) and not isinstance(x, bool) for x in parsed
@@ -350,7 +354,12 @@ class ReorderEval:
     attempt_index: int
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        """A dict of the fields holding its own copy of ``perm``."""
+        return {
+            "passed": self.passed,
+            "perm": None if self.perm is None else list(self.perm),
+            "attempt_index": self.attempt_index,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReorderEval":

@@ -462,12 +462,15 @@ def solve_with_budget(
 
     All K attempts are issued unless early_stop ends the loop at the first
     pass. Each response is scored by ``task.score`` and the selection
-    rule is ``select_attempt``'s.
+    rule is ``select_attempt``'s. A score depends only on the instance and
+    the text, so a text seen before (None for a transport error) reuses
+    its first score, with its own ``attempt_index``.
     """
     prompt = task.prompt(instance)
     instance_id = task.instance_id(instance)
     phash = prompt_hash(prompt)
 
+    scores: dict[Optional[str], tuple] = {}
     logs: list[AttemptLog] = []
     for k in range(config.sampling_budget):
         try:
@@ -477,11 +480,14 @@ def solve_with_budget(
             usage = response.token_usage
         except TransportError:
             text, finish, usage = None, "transport_error", {}
-        record, extracted = task.score(instance, text, k)
+        if text not in scores:
+            scores[text] = task.score(instance, text, k)
+        record, extracted = scores[text]
+        # to_dict gives each log fresh mutable values; only the index differs.
         logs.append(AttemptLog(
             instance_id=instance_id, attempt_index=k, prompt_hash=phash,
             raw_text=text, finish_reason=finish, token_usage=usage,
-            extracted=extracted, eval=record.to_dict(),
+            extracted=extracted, eval=record.to_dict() | {"attempt_index": k},
         ))
         if record.passed and config.early_stop:
             break

@@ -598,6 +598,32 @@ class TestSolveEvalReport:
         assert code == 0, err
         assert json.loads(out)["metrics"]["count"] == len(logs) - 1
 
+    def test_integer_over_the_digit_limit_is_no_answer(
+        self, datasets, tmp_path, capsys
+    ):
+        """json.loads raises a plain ValueError on an integer of more than
+        4,300 digits; the reply counts as holding no order."""
+        reply = "```json\n[" + "1" * 5_000 + "]\n```"
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps([reply]))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve-reorder", "--dataset", str(datasets["eval-reorder"]),
+            "--out", str(attempts), "--mock", str(mock),
+        )
+        assert code == 0, err
+        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
+        assert logs and not any(lg["extracted"] for lg in logs)
+        data = json.loads(datasets["eval-reorder"].read_text())
+        pred_file = tmp_path / "preds.json"
+        pred_file.write_text(json.dumps({data["instances"][0]["id"]: reply}))
+        code, out, err = run(
+            capsys, "eval-reorder", "--dataset", str(datasets["eval-reorder"]),
+            "--predictions", str(pred_file),
+        )
+        assert code == 0, err
+        assert json.loads(out)["metrics"]["acc"] == 0.0
+
     @pytest.mark.parametrize("command, solve", [
         ("eval", "solve-reorder"), ("report", "solve-reorder"),
         ("eval-reorder", "solve"),

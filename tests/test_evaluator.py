@@ -3,6 +3,7 @@ estimator against an enumeration oracle, and the breakdown reports."""
 
 import ast
 import itertools
+import json
 import re
 from fractions import Fraction
 from math import comb
@@ -10,7 +11,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rewritebench.core import RewriteRule, apply_cascade
+from rewritebench.core import RewriteRule, apply_cascade, levenshtein_vec
 from rewritebench.evaluator import (
     _PLAIN_RE,
     INVALID_CATEGORY,
@@ -119,6 +120,10 @@ class TestPathologicalReplies:
 
     def test_unhashable_set_element(self):
         assert extract_pbe_prediction("```python\n[{{}}]\n```") is None
+
+    def test_integer_over_the_digit_limit(self):
+        text = "```json\n[" + "1" * 5_000 + "]\n```"
+        assert extract_permutation(text, 1) is None
 
 
 # The extraction as it stood before plain literals were read directly: every
@@ -339,6 +344,47 @@ class TestScoreAttempt:
         assert record.complexity == complexity
 
 
+_rules = st.lists(
+    st.tuples(st.text("abc", min_size=1, max_size=3), st.text("abc", max_size=3)),
+    min_size=1, max_size=4,
+)
+
+
+@st.composite
+def _pbe_instances(draw):
+    rules = draw(_rules)
+    inputs = draw(st.lists(st.text("abc", max_size=6), min_size=1, max_size=4))
+    return make_instance(rules, inputs)
+
+
+def reference_evaluate_pbe(instance, prediction, identity_symbol, attempt_index):
+    """evaluate_pbe longhand, computing both distances on every call."""
+    if prediction is None:
+        executed = (RewriteRule(identity_symbol, identity_symbol),)
+        valid, length, category = 0.0, 0, INVALID_CATEGORY
+    else:
+        executed = prediction.rules
+        valid, length = prediction.valid_fraction, len(executed)
+        category = classify_bfcc(executed)[0]
+    pred_outputs = tuple(apply_cascade(executed, instance.inputs))
+    d_pred = levenshtein_vec(pred_outputs, instance.outputs)
+    d_inputs = levenshtein_vec(instance.inputs, instance.outputs)
+    passed = pred_outputs == instance.outputs
+    if passed:
+        edit_sim = 1.0
+    elif d_inputs == 0:
+        edit_sim = 0.0
+    else:
+        edit_sim = 1.0 - d_pred / d_inputs
+    return EvalRecord(
+        instance_id=instance.id, passed=passed, edit_sim=edit_sim,
+        valid_rate_contrib=valid,
+        complexity=sum(len(r.source) + len(r.target) for r in executed),
+        attempt_index=attempt_index, pred_length=length,
+        pred_category=category, degenerate_denominator=d_inputs == 0,
+    )
+
+
 class TestEvaluatePbe:
     def test_ground_truth_passes(self):
         inst = make_instance([("bc", "dc"), ("ad", "ed")], ["abc", "ebc", "aba"])
@@ -384,6 +430,23 @@ class TestEvaluatePbe:
             (RewriteRule("ab", "c"), RewriteRule("x", "")), 3, 5, "a"
         )
         assert evaluate_pbe(inst, norm).complexity == 4
+
+    @given(_pbe_instances(), st.data())
+    @settings(max_examples=300)
+    def test_same_record_as_computing_both_distances(self, inst, data):
+        """Predictions that change nothing (none, identity rules) skip the
+        distances; every field, bytes of edit_sim included, is unchanged."""
+        prediction = data.draw(st.one_of(
+            st.none(),
+            _rules.map(lambda rules: tuple(RewriteRule(a, a) for a, _ in rules)),
+            _rules.map(lambda rules: tuple(RewriteRule(a, b) for a, b in rules)),
+        ))
+        norm = None if prediction is None else normalize_cascade(
+            prediction, 3, 5, "a"
+        )
+        got = evaluate_pbe(inst, norm, "a", 2)
+        want = reference_evaluate_pbe(inst, norm, "a", 2)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 class TestEvalRecordFromDict:

@@ -2,6 +2,7 @@
 with the selection rules, concurrent solving of a dataset, and JSONL
 persistence/replay."""
 
+import dataclasses
 import json
 import pathlib
 import signal
@@ -311,22 +312,82 @@ class TestSolveWithBudget:
             "```python\n[\"replace('ab','bc')\", \"replace('abcd','x')\"]\n```",
             "no block here",
         ]),
+        ("pbe", make_instance([("ab", "bc")], ["abab"]), [
+            "```python\n[\"replace('ab','bb')\"]\n```", None,
+            "```python\n[\"replace('ab','bb')\"]\n```", "no block here", None,
+            "```python\n[\"replace('ab','bc')\"]\n```", "no block here",
+        ]),
         ("reorder", GOLDEN_REORDER, [
             "```json\n[0,1]\n```", "```json\n[1,0]\n```", "no block here",
         ]),
+        ("reorder", GOLDEN_REORDER, [
+            "```json\n[0,1]\n```", None, "```json\n[0,1]\n```", "no block here",
+            None, "```json\n[1,0]\n```", "no block here",
+        ]),
     ])
     def test_logged_eval_is_score_attempt(self, kind, inst, texts):
-        """Each logged eval is what the task's ``score`` gives its text."""
+        """Each logged eval is what the task's ``score`` gives its text, a
+        repeated text and a transport error (None) included."""
         task = TASKS[kind]
-        backend = MockChatBackend(texts + [BackendResult(500, {})])
-        config = SolverConfig(sampling_budget=4, retry_count=0)
+        texts = texts + [None]
+        backend = MockChatBackend(
+            [BackendResult(500, {}) if t is None else t for t in texts]
+        )
+        config = SolverConfig(sampling_budget=len(texts), retry_count=0)
         _, logs = solve_with_budget(
             inst, config, backend, task, sleep=lambda _: None,
         )
-        assert [lg.raw_text for lg in logs] == texts + [None]
+        assert [lg.raw_text for lg in logs] == texts
         for lg in logs:
             record, extracted = task.score(inst, lg.raw_text, lg.attempt_index)
             assert (record.to_dict(), extracted) == (lg.eval, lg.extracted)
+
+    @pytest.mark.parametrize("kind, instances, texts", [
+        ("pbe", [make_instance([("ab", "bc")], ["abab"], id="p0"),
+                 make_instance([("b", "c")], ["abab"], id="p1")], [
+            "```python\n[\"replace('ab','bc')\"]\n```", "no block here",
+        ]),
+        ("reorder", [GOLDEN_REORDER,
+                     dataclasses.replace(GOLDEN_REORDER, source_id="r1")], [
+            "```json\n[1,0]\n```", "no block here",
+        ]),
+    ])
+    def test_each_distinct_text_scored_once_per_instance(
+        self, kind, instances, texts
+    ):
+        """Every instance gets the same five replies, two of them repeats
+        and one a transport error."""
+        calls = []
+
+        class CountingTask:
+            def __getattr__(self, name):
+                return getattr(TASKS[kind], name)
+
+            def score(self, instance, text, attempt_index):
+                calls.append((TASKS[kind].instance_id(instance), text))
+                return TASKS[kind].score(instance, text, attempt_index)
+
+        per_instance = [texts[0], BackendResult(500, {}), texts[1], texts[0], texts[1]]
+        backend = MockChatBackend(per_instance * len(instances))
+        config = SolverConfig(sampling_budget=5, retry_count=0, max_in_flight=1)
+        _, logs = solve_dataset(
+            instances, config, backend, CountingTask(), sleep=lambda _: None,
+        )
+        assert len(logs) == 5 * len(instances)
+        assert len(calls) == len(set(calls)) == 3 * len(instances)
+        assert set(calls) == {(lg.instance_id, lg.raw_text) for lg in logs}
+
+    def test_repeated_reorder_text_logs_share_no_perm(self):
+        backend = MockChatBackend(["```json\n[1,0]\n```"])
+        config = SolverConfig(sampling_budget=2)
+        _, logs = solve_with_budget(
+            GOLDEN_REORDER, config, backend, REORDER, sleep=lambda _: None,
+        )
+        first, second = (lg.eval for lg in logs)
+        assert first["perm"] == second["perm"] == [1, 0]
+        assert first["perm"] is not second["perm"]
+        first["perm"].append(2)
+        assert second["perm"] == [1, 0]
 
 
 class PromptKeyedBackend:
