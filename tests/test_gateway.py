@@ -312,13 +312,13 @@ class TestSolveWithBudget:
             "```python\n[\"replace('ab','bc')\", \"replace('abcd','x')\"]\n```",
             "no block here",
         ]),
+        ("reorder", GOLDEN_REORDER, [
+            "```json\n[0,1]\n```", "```json\n[1,0]\n```", "no block here",
+        ]),
         ("pbe", make_instance([("ab", "bc")], ["abab"]), [
             "```python\n[\"replace('ab','bb')\"]\n```", None,
             "```python\n[\"replace('ab','bb')\"]\n```", "no block here", None,
             "```python\n[\"replace('ab','bc')\"]\n```", "no block here",
-        ]),
-        ("reorder", GOLDEN_REORDER, [
-            "```json\n[0,1]\n```", "```json\n[1,0]\n```", "no block here",
         ]),
         ("reorder", GOLDEN_REORDER, [
             "```json\n[0,1]\n```", None, "```json\n[0,1]\n```", "no block here",
