@@ -223,6 +223,31 @@ class TestPermAndStats:
         assert code == 1
         assert "not found" in err
 
+    @pytest.mark.parametrize("name, digest", [
+        pytest.param("dataset", "225340c3fa13ce6e0dbe8c2379d45ae44596cc26f647dc8723da4b13c4936a16", id="dataset"),
+        pytest.param("perm", "d6ad81ec654ec1b09cb7543b3134a9384e0d1ac324385704b5bd3d1a770f4b0f", id="perm"),
+        pytest.param("stats", "95bb0fa4b8d7a7cb198449ac5aea792655c7a7174a5ce3af59f2693be0c52db5", id="stats"),
+    ])
+    def test_lite_seed_0_files_pinned(self, lite_seed_0, name, digest):
+        assert hashlib.sha256(lite_seed_0[name].read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def lite_seed_0(tmp_path_factory):
+    """The files of ``gen --preset lite --seed 0`` and of ``perm`` and
+    ``stats --out`` on its dataset; the full-size lite dataset, which no
+    smaller pin reaches."""
+    root = tmp_path_factory.mktemp("lite0")
+    files = {name: root / f"{name}.json" for name in ("dataset", "perm", "stats")}
+    dataset = str(files["dataset"])
+    for argv in (
+        ["gen", "--preset", "lite", "--seed", "0", "--out", dataset],
+        ["perm", "--dataset", dataset, "--out", str(files["perm"])],
+        ["stats", "--dataset", dataset, "--out", str(files["stats"])],
+    ):
+        assert dispatch(argv) == 0, argv
+    return files
+
 
 class TestSolveEvalReport:
     def _gt_mock(self, dataset_path, tmp_path):
