@@ -85,10 +85,6 @@ class GeneratorParams:
                 f"unknown post_patience_policy {self.post_patience_policy!r}"
             )
 
-    @property
-    def num_lengths(self) -> int:
-        return self.L_max - self.L_min + 1
-
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["alphabet"] = "".join(self.alphabet.symbols)
@@ -330,22 +326,28 @@ def sample_candidate(
     )
 
 
+def _even_cap(counts: dict, D: int) -> int:
+    """How many instances a bin may hold when D is split as evenly as
+    possible over the bins of ``counts``: D // bins + 1 while fewer than
+    D % bins bins hold that many, else D // bins."""
+    base, extra = divmod(D, len(counts))
+    return base + (sum(c > base for c in counts.values()) < extra)
+
+
 def generate_dataset(params: GeneratorParams) -> Dataset:
     """Run rejection sampling until D instances are collected.
 
     Before iteration ``tau``, a candidate is accepted only if its quota bins
     (per ``quota_mode``) have room and its dedup signature is unseen; after
-    ``tau`` the post-patience policy applies. Deterministic in (params, seed).
+    ``tau`` the post-patience policy applies. Each quota, and the length cap
+    of ``keep-length-quota``, splits D evenly (see ``_even_cap``), so its
+    bins hold D in total. Deterministic in (params, seed).
     """
     rng = random.Random(params.seed)
-    cat_quota = params.D // 16
-    len_quota = params.D // params.num_lengths
-    # Post-patience length cap rounds up so a partially uneven fill cannot
-    # deadlock the keep-length-quota policy.
-    len_cap_relaxed = math.ceil(params.D / params.num_lengths)
-
     cat_counts = {cat: 0 for cat in ALL_CATEGORIES}
     len_counts = {length: 0 for length in range(params.L_min, params.L_max + 1)}
+    cat_cap = _even_cap(cat_counts, params.D)
+    len_cap = _even_cap(len_counts, params.D)
     seen: set[tuple] = set()
     instances: list[PbeInstance] = []
     stats = GenerationStats()
@@ -374,15 +376,15 @@ def generate_dataset(params: GeneratorParams) -> Dataset:
         length = len(candidate.cascade)
 
         if t < params.tau:
-            if enforce_category and cat_counts[cat] >= cat_quota:
+            if enforce_category and cat_counts[cat] >= cat_cap:
                 continue
-            if enforce_length and len_counts[length] >= len_quota:
+            if enforce_length and len_counts[length] >= len_cap:
                 continue
         else:
             stats.patience_exhausted = True
             if (
                 params.post_patience_policy == "keep-length-quota"
-                and len_counts[length] >= len_cap_relaxed
+                and len_counts[length] >= len_cap
             ):
                 continue
 
@@ -394,8 +396,12 @@ def generate_dataset(params: GeneratorParams) -> Dataset:
         seen.add(signature)
         cat_counts[cat] += 1
         len_counts[length] += 1
-        if cat_counts[cat] >= cat_quota:
-            open_categories = open_categories - {cat}
+        cat_cap = _even_cap(cat_counts, params.D)
+        len_cap = _even_cap(len_counts, params.D)
+        if cat_counts[cat] >= cat_cap:
+            open_categories = frozenset(
+                c for c in ALL_CATEGORIES if cat_counts[c] < cat_cap
+            )
 
     stats.attempts = t
     stats.acceptances = len(instances)

@@ -23,7 +23,7 @@ STDOUT_SHA256 = {
     "03_reordering_task.py":
         "1e6842263796e07adf8b79429acc5fe6b101756be60bd898a3b212cabdef0133",
     "04_mock_solver_run.py":
-        "4e6b9cacb14f39fa2678356bd4a84fe30c7b8b892da7b2f505547a227d18609b",
+        "67717a25b86118c35333c11211131efe2395185345ea057d57155560392506ca",
 }
 
 

@@ -1,6 +1,7 @@
 """Generator tests: sampling primitives, rejection-sampling discipline,
 dataset invariants, serialization, and the KL balance report."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -323,6 +324,27 @@ class TestGenerateDataset:
                 counts[key] = counts.get(key, 0) + 1
             cap = math.ceil(32 / 16)
             assert all(v <= cap for v in counts.values())
+
+    @pytest.mark.parametrize("overrides", [
+        dict(D=1), dict(D=12), dict(D=24),
+        dict(D=26, L_max=4, quota_mode="length-balanced"),
+    ], ids=["D1", "D12", "D24", "length-balanced-D26"])
+    def test_uneven_size_splits_evenly_within_patience(self, overrides):
+        # D splits over the enforced bins as D // bins each plus one more in
+        # D % bins of them, so the run ends before tau whatever D is.
+        params = tiny_params(**overrides)
+        ds = generate_dataset(params)
+        assert not ds.stats.patience_exhausted
+        if params.quota_mode == "length-balanced":
+            bins = range(params.L_min, params.L_max + 1)
+            counts = collections.Counter(i.effective_length for i in ds.instances)
+        else:
+            bins = ALL_CATEGORIES
+            counts = collections.Counter(i.category for i in ds.instances)
+        base, extra = divmod(params.D, len(bins))
+        assert sorted(counts[b] for b in bins) == (
+            [base] * (len(bins) - extra) + [base + 1] * extra
+        )
 
     def test_tau_zero_accept_any(self):
         ds = generate_dataset(
