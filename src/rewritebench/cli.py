@@ -23,7 +23,7 @@ import sys
 from dataclasses import fields
 from typing import Optional, Sequence
 
-from .core import FINITE_JSON, Alphabet, RewriteRule, TransportError
+from .core import Alphabet, RewriteRule, TransportError, read_json, write_json
 from .proposer import (
     POST_PATIENCE_POLICIES,
     QUOTA_MODES,
@@ -56,8 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return FINITE_JSON.decode(fh.read())
+        return read_json(path)
     except FileNotFoundError:
         raise CliError(f"file not found: {path}")
     except ValueError as exc:
@@ -72,15 +71,6 @@ def _load_config(path: Optional[str]) -> dict:
     if not isinstance(config, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     return config
-
-
-def _write_json(data: dict, path: Optional[str]) -> None:
-    text = json.dumps(data, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 # The value types a field annotated as an integer accepts; a float or a
@@ -124,7 +114,7 @@ def _cmd_gen(args) -> int:
 def _cmd_perm(args) -> int:
     from .permuter import build_perm_dataset, save_perm_dataset
 
-    dataset = _load_dataset(args.dataset, "pbe", args.command)
+    dataset = _load_dataset(args)
     instances = build_perm_dataset(dataset, order_count_cap=args.cap)
     save_perm_dataset(instances, args.out)
     unique = sum(1 for r in instances if r.is_unique)
@@ -157,10 +147,12 @@ _DATASET_KINDS = {
 }
 
 
-def _load_dataset(path: str, kind: str, command: str):
-    """A dataset file, checked to be of the kind ``command`` takes, decoded:
-    a PBE dataset (it has ``params``) as a ``Dataset``, a reorder dataset
-    (it has not) as a list of ``ReorderInstance``."""
+def _load_dataset(args):
+    """The ``--dataset`` file, checked to be of the kind the command takes
+    (``args.kind``), decoded: a PBE dataset (it has ``params``) as a
+    ``Dataset``, a reorder dataset (it has not) as a list of
+    ``ReorderInstance``."""
+    path, kind = args.dataset, args.kind
     data = _load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("instances"), list):
         raise CliError(f"{path} is not a dataset file")
@@ -168,7 +160,7 @@ def _load_dataset(path: str, kind: str, command: str):
     if found != kind:
         name, takers = _DATASET_KINDS[found]
         raise CliError(
-            f"{command} needs {_DATASET_KINDS[kind][0]}, but {path} is "
+            f"{args.command} needs {_DATASET_KINDS[kind][0]}, but {path} is "
             f"{name}, which {takers} take"
         )
     try:
@@ -181,19 +173,19 @@ def _load_dataset(path: str, kind: str, command: str):
         raise CliError(f"malformed dataset file {path}: {exc!r}")
 
 
-def _load_task(path: str, kind: str, command: str):
-    """The instances of a dataset file of either kind, and the task that
-    prompts and scores them: a PBE dataset's under its own limits."""
+def _load_task(args):
+    """The instances of the ``--dataset`` file, and the task that prompts
+    and scores them: a PBE dataset's under its own limits."""
     from .gateway import PbeTask, ReorderTask
 
-    loaded = _load_dataset(path, kind, command)
-    if kind == "reorder":
+    loaded = _load_dataset(args)
+    if args.kind == "reorder":
         return loaded, ReorderTask()
     p = loaded.params
     return loaded.instances, PbeTask(p.s_max, p.L_max, p.alphabet.symbols[0])
 
 
-def _run_solve(args, task_kind: str) -> int:
+def _run_solve(args) -> int:
     from .gateway import (
         HttpChatBackend, SolverConfig, persist_attempts, solve_dataset,
     )
@@ -202,65 +194,56 @@ def _run_solve(args, task_kind: str) -> int:
     backend = _mock_backend(args.mock) if args.mock else HttpChatBackend()
     if not args.mock and not config.endpoint_url:
         raise CliError("an endpoint URL is required unless --mock is given")
-    instances, task = _load_task(args.dataset, task_kind, args.command)
+    instances, task = _load_task(args)
     _, logs = solve_dataset(instances, config, backend, task)
     persist_attempts(logs, args.out)
     print(f"wrote {len(logs)} attempt logs to {args.out}")
     return 0
 
 
-def _scored(kind: str, command: str, dataset_path: str,
-            attempts_path: Optional[str],
-            predictions_path: Optional[str] = None) -> tuple:
-    """The task of a dataset file, and its (instance, eval) pairs in order.
+def _scored(args) -> tuple:
+    """The task of the ``--dataset`` file, and its (instance, eval) pairs.
 
-    From an attempt log: the selected attempt of each instance that has
-    one, skipping a selection with no eval; an eval without exactly the
-    fields of the task's record, or a field of the wrong type in it or in
-    any log selection reads, is an error. From a predictions file (an
-    object mapping instance id to response text, null meaning no
-    response): every instance, scored by the task; the file must name at
-    least one instance of the dataset.
+    From ``--attempts``: the selected attempt of each instance that has
+    one, skipping a selection with no eval; an eval that the task's record
+    type does not take (a missing or unknown key, a mistyped field), or a
+    mistyped field that selection reads in any attempt, is an error. From
+    ``--predictions`` (an object mapping instance id to response text, null
+    meaning no response): every instance, scored by the task; the file
+    must name at least one instance of the dataset.
     """
     from .gateway import load_attempts, select_attempt
 
-    instances, task = _load_task(dataset_path, kind, command)
+    instances, task = _load_task(args)
     ids = [task.instance_id(inst) for inst in instances]
     pairs = []
-    if attempts_path is not None:
-        keys = {f.name for f in fields(task.record)}
+    if args.attempts is not None:
         by_instance: dict[str, list] = {}
-        for log in load_attempts(attempts_path):
+        for log in load_attempts(args.attempts):
             by_instance.setdefault(log.instance_id, []).append(log)
         for inst, inst_id in zip(instances, ids):
             try:
                 chosen = select_attempt(by_instance.get(inst_id, ()), task)
                 if chosen is None or chosen.eval is None:
                     continue
-                if chosen.eval.keys() != keys:
-                    raise CliError(
-                        f"attempts file {attempts_path} does not hold {kind} "
-                        f"attempts: the eval of {inst_id} has keys "
-                        f"{sorted(chosen.eval)}"
-                    )
                 pairs.append((inst, task.record.from_dict(chosen.eval)))
             except TypeError as exc:
                 raise CliError(
-                    f"attempts file {attempts_path} holds a malformed attempt "
+                    f"attempts file {args.attempts} holds a malformed attempt "
                     f"for {inst_id!r}: {exc}"
                 )
     else:
-        preds = _load_json(predictions_path)
+        preds = _load_json(args.predictions)
         if not isinstance(preds, dict) or not all(
             text is None or isinstance(text, str) for text in preds.values()
         ):
             raise CliError(
-                f"predictions file {predictions_path} must be a JSON object "
+                f"predictions file {args.predictions} must be a JSON object "
                 "mapping instance id to response text"
             )
         if not any(inst_id in preds for inst_id in ids):
             raise CliError(
-                f"no instance id in predictions file {predictions_path} is in "
+                f"no instance id in predictions file {args.predictions} is in "
                 f"the dataset ({len(preds)} ids in the file)"
             )
         for inst, inst_id in zip(instances, ids):
@@ -271,24 +254,21 @@ def _scored(kind: str, command: str, dataset_path: str,
     return task, pairs
 
 
-def _cmd_eval(args, kind: str) -> int:
-    task, pairs = _scored(
-        kind, args.command, args.dataset, args.attempts, args.predictions
-    )
-    _write_json({"metrics": task.aggregate(pairs).to_dict()}, args.out)
+def _cmd_eval(args) -> int:
+    task, pairs = _scored(args)
+    write_json({"metrics": task.aggregate(pairs).to_dict()}, args.out)
     return 0
 
 
 def _cmd_report(args) -> int:
-    from .evaluator import aggregate_pbe, breakdown_reports
+    from .evaluator import breakdown_reports
 
-    _, pairs = _scored("pbe", args.command, args.dataset, args.attempts)
+    task, pairs = _scored(args)
     records = [record for _, record in pairs]
-    metrics = aggregate_pbe(records)
     bundle = breakdown_reports(records, [inst for inst, _ in pairs])
-    _write_json(
+    write_json(
         {
-            "metrics": metrics.to_dict(),
+            "metrics": task.aggregate(pairs).to_dict(),
             "breakdowns": bundle.to_dict(),
             "records": [r.to_dict() for r in records],
         },
@@ -355,13 +335,13 @@ def _cmd_verify_relations(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    dataset = _load_dataset(args.dataset, "pbe", args.command)
+    dataset = _load_dataset(args)
     report = kl_balance_report(dataset)
     mean_cx = sum(i.complexity for i in dataset.instances) / len(dataset.instances)
     payload = report.to_dict()
     payload["mean_complexity"] = mean_cx
     payload["stats"] = dataset.stats.to_dict()
-    _write_json(payload, args.out)
+    write_json(payload, args.out)
     return 0
 
 
@@ -403,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     perm.add_argument("--cap", type=int, default=40320,
                       help="bound on m!, the number of orders of an m-rule "
                            "cascade, above which n_valid_orders stays null")
-    perm.set_defaults(func=_cmd_perm)
+    perm.set_defaults(func=_cmd_perm, kind="pbe")
 
     for name, kind in (("solve", "pbe"), ("solve-reorder", "reorder")):
         solve = sub.add_parser(
@@ -422,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="attempts per instance")
         solve.add_argument("--mock",
                            help="JSON file of scripted responses (offline)")
-        solve.set_defaults(func=lambda a, k=kind: _run_solve(a, k))
+        solve.set_defaults(func=_run_solve, kind=kind)
 
     for name, kind in (("eval", "pbe"), ("eval-reorder", "reorder")):
         ev = sub.add_parser(
@@ -433,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--attempts")
         source.add_argument("--predictions")
         ev.add_argument("--out")
-        ev.set_defaults(func=lambda a, k=kind: _cmd_eval(a, k))
+        ev.set_defaults(func=_cmd_eval, kind=kind)
 
     rep = sub.add_parser(
         "report", description="Emit aggregate metrics plus breakdowns."
@@ -441,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--dataset", required=True)
     rep.add_argument("--attempts", required=True)
     rep.add_argument("--out")
-    rep.set_defaults(func=_cmd_report)
+    rep.set_defaults(func=_cmd_report, kind="pbe")
 
     ver = sub.add_parser(
         "verify-relations",
@@ -462,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     st.add_argument("--dataset", required=True)
     st.add_argument("--out")
-    st.set_defaults(func=_cmd_stats)
+    st.set_defaults(func=_cmd_stats, kind="pbe")
 
     return parser
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
@@ -43,6 +45,21 @@ def _finite_float(text: str) -> float:
 FINITE_JSON = json.JSONDecoder(
     parse_constant=_reject_constant, parse_float=_finite_float
 )
+
+
+def read_json(path: str):
+    """The value of the JSON file at ``path``, decoded by ``FINITE_JSON``."""
+    with open(path, encoding="utf-8") as fh:
+        return FINITE_JSON.decode(fh.read())
+
+
+def write_json(data, path: str | None = None) -> None:
+    """``data`` as JSON indented by 2, and a newline, streamed to the file at
+    ``path`` (replacing it) or, without one, to stdout."""
+    out = open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+    with out as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)

@@ -182,10 +182,10 @@ class EvalRecord:
     edit_sim: float
     valid_rate_contrib: float
     complexity: int
-    attempt_index: int = 0
-    pred_length: int = 0
-    pred_category: str = INVALID_CATEGORY
-    degenerate_denominator: bool = False
+    attempt_index: int
+    pred_length: int
+    pred_category: str
+    degenerate_denominator: bool
 
     def to_dict(self) -> dict:
         return dict(vars(self))

@@ -9,7 +9,6 @@ reproduce the outputs decides whether the solution is unique.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -17,10 +16,11 @@ from typing import Optional
 from .core import (
     Cascade,
     EmptySourceError,
-    FINITE_JSON,
     apply_cascade,
     decode_rules,
     encode_rules,
+    read_json,
+    write_json,
 )
 from .proposer import Dataset, PbeInstance
 from .relations import _fresh_symbol
@@ -178,12 +178,8 @@ def build_perm_dataset(
 
 
 def save_perm_dataset(instances: list[ReorderInstance], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"instances": [r.to_dict() for r in instances]}, fh, indent=2)
-        fh.write("\n")
+    write_json({"instances": [r.to_dict() for r in instances]}, path)
 
 
 def load_perm_dataset(path: str) -> list[ReorderInstance]:
-    with open(path, encoding="utf-8") as fh:
-        data = FINITE_JSON.decode(fh.read())
-    return [ReorderInstance.from_dict(d) for d in data["instances"]]
+    return [ReorderInstance.from_dict(d) for d in read_json(path)["instances"]]

@@ -8,7 +8,6 @@ budget is exhausted, after which the quota constraints are relaxed.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field, fields, replace
@@ -17,12 +16,13 @@ from typing import Collection, Optional, Sequence
 from .core import (
     Alphabet,
     Cascade,
-    FINITE_JSON,
     RewriteRule,
     apply_rule_vec,
     decode_rules,
     encode_rules,
+    read_json,
     substrings_of_length,
+    write_json,
 )
 from .relations import (
     ALL_CATEGORIES,
@@ -198,14 +198,11 @@ class Dataset:
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path: str) -> "Dataset":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(FINITE_JSON.decode(fh.read()))
+        return cls.from_dict(read_json(path))
 
 
 def _below(getrandbits, n: int) -> int:

@@ -677,6 +677,8 @@ class TestSolveEvalReport:
         assert f"attempts file {attempts}" in err
 
     def test_eval_with_an_unknown_key_exits_1(self, datasets, tmp_path, capsys):
+        """An eval with a key its record type lacks, or without one of the
+        record's fields, names the attempts file and the key."""
         mock = tmp_path / "mock.json"
         mock.write_text(json.dumps(["no answer"]))
         attempts = tmp_path / "att.jsonl"
@@ -685,16 +687,22 @@ class TestSolveEvalReport:
             "--out", str(attempts), "--mock", str(mock),
         )
         assert code == 0, err
-        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
-        logs[0]["eval"]["bogus"] = 1
-        attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
-        code, _, err = run(
-            capsys, "eval", "--dataset", str(datasets["eval"]),
-            "--attempts", str(attempts),
-        )
-        assert code == 1, err
-        assert f"attempts file {attempts}" in err
-        assert "bogus" in err
+        clean = attempts.read_text()
+        damages = {
+            "bogus": lambda ev: ev.update(bogus=1),
+            "pred_category": lambda ev: ev.pop("pred_category"),
+        }
+        for key, damage in damages.items():
+            logs = [json.loads(line) for line in clean.splitlines()]
+            damage(logs[0]["eval"])
+            attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
+            code, _, err = run(
+                capsys, "eval", "--dataset", str(datasets["eval"]),
+                "--attempts", str(attempts),
+            )
+            assert code == 1, (key, err)
+            assert f"attempts file {attempts}" in err
+            assert key in err
 
     @pytest.mark.parametrize("field, value", [
         ("eval", [1]), ("eval", "x"), ("eval", 3), ("attempt_index", "0"),

@@ -2,6 +2,7 @@
 independent brute-force oracles."""
 
 import functools
+import json
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,8 +15,10 @@ from rewritebench.core import (
     apply_rule,
     levenshtein,
     levenshtein_vec,
+    read_json,
     string_sets,
     substrings_of_length,
+    write_json,
 )
 
 
@@ -190,3 +193,27 @@ class TestHelpers:
         with pytest.raises(ValueError):
             Alphabet(())
         assert Alphabet.from_string("abc").symbols == ("a", "b", "c")
+
+
+class TestJsonFiles:
+    DATA = {"a": [1, 2.5, None], "b": "é", "c": {"d": True}}
+
+    def test_write_to_a_path_then_read_back(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("stale text that is longer than the new file\n" * 40)
+        write_json(self.DATA, str(path))
+        assert path.read_text(encoding="utf-8") == (
+            json.dumps(self.DATA, indent=2) + "\n"
+        )
+        assert read_json(str(path)) == self.DATA
+
+    def test_write_without_a_path_goes_to_stdout(self, capsys):
+        write_json(self.DATA)
+        assert capsys.readouterr().out == json.dumps(self.DATA, indent=2) + "\n"
+
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
+    def test_read_rejects_a_non_finite_number(self, tmp_path, literal):
+        path = tmp_path / "x.json"
+        path.write_text(f'{{"x": {literal}}}')
+        with pytest.raises(ValueError, match="is not a finite number"):
+            read_json(str(path))
