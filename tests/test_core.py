@@ -210,10 +210,3 @@ class TestJsonFiles:
     def test_write_without_a_path_goes_to_stdout(self, capsys):
         write_json(self.DATA)
         assert capsys.readouterr().out == json.dumps(self.DATA, indent=2) + "\n"
-
-    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
-    def test_read_rejects_a_non_finite_number(self, tmp_path, literal):
-        path = tmp_path / "x.json"
-        path.write_text(f'{{"x": {literal}}}')
-        with pytest.raises(ValueError, match="is not a finite number"):
-            read_json(str(path))
