@@ -73,9 +73,19 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
-# The value types a field annotated as an integer accepts; a float or a
-# bool (an int subclass) is rejected, not truncated.
-_INTEGER_TYPES = {"int": (int,), "Optional[int]": (int, type(None))}
+# The JSON value types a field of each annotation accepts, and what to
+# call them. A bool (an int subclass) is not a number and a float is not
+# an integer: each is rejected, not converted. An alphabet is written as
+# the string of its symbols.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "Optional[int]": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a boolean"),
+    "str": ((str,), "a string"),
+    "Optional[str]": ((str, type(None)), "a string or null"),
+    "Alphabet": ((str,), "a string"),
+}
 
 
 def _settings(args, cls, base: dict, what: str):
@@ -88,10 +98,12 @@ def _settings(args, cls, base: dict, what: str):
         if key in names and value is not None
     )
     for f in fields(cls):
-        allowed = _INTEGER_TYPES.get(f.type)
-        if allowed and f.name in config and type(config[f.name]) not in allowed:
+        if f.name not in config or f.type not in _FIELD_TYPES:
+            continue
+        allowed, kind = _FIELD_TYPES[f.type]
+        if type(config[f.name]) not in allowed:
             raise CliError(f"invalid {what} configuration: "
-                           f"{f.name} {config[f.name]!r} is not an integer")
+                           f"{f.name} {config[f.name]!r} is not {kind}")
     try:
         return cls.from_dict(config)
     except (ValueError, TypeError) as exc:

@@ -24,7 +24,8 @@ from .proposer import PbeInstance
 
 
 class TransientBackendError(RuntimeError):
-    """Retryable failure (connection drop or 5xx status)."""
+    """Retryable failure to exchange a request and its whole reply: a
+    refused or reset connection, a timeout or a reply cut short."""
 
 
 PBE_PROMPT_TEMPLATE = """\
@@ -198,27 +199,53 @@ class HttpChatBackend:
     """
 
     def send(self, config: SolverConfig, body: dict) -> BackendResult:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.parse
+        import urllib.request
 
+        url = config.endpoint_url
+        invalid = f"endpoint URL {url!r} is not a valid http or https URL"
+        parts = urllib.parse.urlsplit(url)
+        try:
+            # Reading the port raises ValueError unless it is a number in
+            # 0..65535; http.client would send to a larger one modulo 65536.
+            valid = (parts.scheme in ("http", "https") and parts.hostname
+                     and parts.port != 0)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(invalid)
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(config.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        request = urllib.request.Request(
+            url, data=json.dumps(body, allow_nan=False).encode("utf-8"),
+            headers=headers, method="POST",
+        )
+        # A status other than 2xx arrives as an HTTPError, which is also
+        # the response; a failure to connect or to read the whole reply
+        # (refused, reset, timed out, cut short) is retryable.
         try:
-            resp = requests.post(
-                config.endpoint_url,
-                json=body,
-                headers=headers,
-                timeout=config.timeout_ms / 1000.0,
-            )
-        except (requests.ConnectionError, requests.Timeout) as exc:
+            try:
+                resp = urllib.request.urlopen(
+                    request, timeout=config.timeout_ms / 1000.0
+                )
+            except urllib.error.HTTPError as exc:
+                resp = exc
+            with resp:
+                raw = resp.read()
+        except http.client.InvalidURL as exc:  # raised before anything is sent
+            raise ValueError(f"{invalid}: {exc}") from exc
+        except (OSError, http.client.HTTPException) as exc:
             raise TransientBackendError(str(exc)) from exc
         try:
-            payload = resp.json()
+            payload = json.loads(raw)
         except ValueError:
             payload = {}
         return BackendResult(
-            status_code=resp.status_code,
+            status_code=resp.status,
             payload=payload,
             retry_after=_retry_after_seconds(resp.headers.get("Retry-After")),
         )
@@ -294,10 +321,10 @@ def chat_send(
 ) -> ChatResponse:
     """One chat-completion exchange with exponential-backoff retries.
 
-    Transient failures (connection errors, 5xx statuses and 429 rate
-    limits) are retried up to retry_count times; after a 429 the wait is at
-    least its ``retry_after``. Auth failures and malformed envelopes are
-    fatal.
+    Transient failures (a ``TransientBackendError``, 5xx statuses and 429
+    rate limits) are retried up to retry_count times; after a 429 the wait
+    is at least its ``retry_after``. Auth failures, other statuses and
+    malformed envelopes are fatal.
     """
     body = {
         "model": config.model_id,

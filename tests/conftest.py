@@ -1,3 +1,10 @@
+import threading
+
+import pytest
+
+from chat_server import LoopbackChatServer, chat_reply
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # Re-emit the one-line-per-criterion acceptance results after the run,
     # where output capture cannot swallow them.
@@ -13,3 +20,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f" — {detail}"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="module")
+def _loopback_server():
+    server = LoopbackChatServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,))
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def loopback(_loopback_server, monkeypatch):
+    """The module's loopback chat server with an empty request record;
+    requests to it bypass any proxy named in the environment."""
+    monkeypatch.setenv("no_proxy", "*")
+    _loopback_server.script([chat_reply("")])
+    return _loopback_server

@@ -1,6 +1,7 @@
 """CLI tests: subcommand behaviour, exit codes, config validation, and
 reproducibility of generated artifacts."""
 
+import ast
 import hashlib
 import json
 import os
@@ -11,6 +12,8 @@ import sys
 import pytest
 
 from dataclasses import fields
+
+from chat_server import TRUNCATE, chat_reply
 
 from rewritebench import core, gateway
 from rewritebench.cli import dispatch
@@ -68,20 +71,27 @@ class TestGen:
         assert code == 1
         assert "bogus_knob" in err
 
-    @pytest.mark.parametrize("value", [2.5, True])
-    def test_integer_setting_of_another_type_exits_1(
-        self, tmp_path, capsys, value
+    @pytest.mark.parametrize("setting, kind", [
+        pytest.param({"n": 2.5}, "an integer", id="2.5"),
+        pytest.param({"n": True}, "an integer", id="True"),
+        pytest.param({"t_min": 1.0}, "an integer or null", id="t_min"),
+        pytest.param({"quota_mode": 1}, "a string", id="quota_mode"),
+        pytest.param({"alphabet": ["a", "b"]}, "a string", id="alphabet"),
+    ])
+    def test_setting_of_another_type_exits_1(
+        self, tmp_path, capsys, setting, kind
     ):
-        config = tmp_path / "n.json"
-        config.write_text(json.dumps({"n": value}))
+        config = tmp_path / "setting.json"
+        config.write_text(json.dumps(setting))
         path = tmp_path / "x.json"
         code, out, err = run(
             capsys, "gen", "--out", str(path), "--seed", "0",
             "--preset", "lite", "--size", "16", "--config", str(config),
         )
+        [(name, value)] = setting.items()
         assert code == 1, err
         assert out == ""
-        assert f"invalid generator configuration: n {value!r} is not an integer" in err
+        assert f"invalid generator configuration: {name} {value!r} is not {kind}" in err
         assert not path.exists()
 
     def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys):
@@ -875,7 +885,8 @@ class TestSolveEvalReport:
     @pytest.mark.parametrize("setting", [
         {"retry_count": -1}, {"timeout_ms": 0},
         {"retry_count": 1.5}, {"max_in_flight": 1.5}, {"sampling_budget": 1.5},
-        {"max_in_flight": True},
+        {"max_in_flight": True}, {"early_stop": "false"}, {"temperature": True},
+        {"reasoning_effort": 5}, {"api_key_env": 7},
     ])
     def test_solver_setting_out_of_range_exits_1(
         self, small_dataset, tmp_path, capsys, setting
@@ -950,6 +961,64 @@ class TestSolveEvalReport:
         metrics = json.loads(out)["metrics"]
         assert metrics["count"] == len(data["instances"])
         assert metrics["pass_at_1" if command == "eval" else "acc"] == 0.0
+
+
+class TestSolveOverHttp:
+    """``solve`` through the real HTTP backend against a loopback server."""
+
+    @pytest.fixture
+    def tiny_dataset(self, tmp_path, capsys):
+        path = tmp_path / "ds.json"
+        code, _, err = run(
+            capsys, "gen", "--out", str(path), "--seed", "3", "--preset",
+            "lite", "--size", "4", "--tau", "5000",
+        )
+        assert code == 0, err
+        return path
+
+    def _solve(self, capsys, dataset, out, endpoint, *flags):
+        config = out.parent / "solver.json"
+        config.write_text(json.dumps({"max_in_flight": 1}))
+        return run(
+            capsys, "solve", "--dataset", str(dataset), "--out", str(out),
+            "--endpoint", endpoint, "--config", str(config), *flags,
+        )
+
+    def test_truncated_reply_is_retried(self, loopback, tiny_dataset, tmp_path, capsys):
+        loopback.script([TRUNCATE, chat_reply("no block here")])
+        attempts = tmp_path / "att.jsonl"
+        code, out, err = self._solve(capsys, tiny_dataset, attempts, loopback.url)
+        assert code == 0, err
+        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
+        assert len(logs) == 4
+        assert [lg["raw_text"] for lg in logs] == ["no block here"] * 4
+        assert len(loopback.requests) == 5
+
+    def test_api_key_is_sent_and_never_logged(
+        self, loopback, tiny_dataset, tmp_path, capsys, monkeypatch
+    ):
+        key = "sk-loopback-0123456789"
+        monkeypatch.setenv("X", key)
+        loopback.script([(401, b"{}", {}), chat_reply("no block here")])
+        attempts = tmp_path / "att.jsonl"
+        code, out, err = self._solve(
+            capsys, tiny_dataset, attempts, loopback.url, "--api-key-env", "X",
+        )
+        assert code == 0, err
+        assert {h["Authorization"] for h, _ in loopback.requests} == {f"Bearer {key}"}
+        text = attempts.read_text()
+        assert "transport_error" in text
+        assert key not in text + out + err
+
+    def test_endpoint_that_is_not_http_exits_1(self, tiny_dataset, tmp_path, capsys):
+        attempts = tmp_path / "att.jsonl"
+        code, out, err = self._solve(
+            capsys, tiny_dataset, attempts, "file:///etc/hostname"
+        )
+        assert code == 1, err
+        assert out == ""
+        assert "is not a valid http or https URL" in err
+        assert not attempts.exists()
 
 
 class TestDatasetKind:
@@ -1144,13 +1213,32 @@ class TestStartup:
         assert loaded_after_import("rewritebench.cli", [
             "rewritebench.gateway", "rewritebench.evaluator",
             "rewritebench.permuter", "hashlib", "concurrent.futures",
-            "logging", "fractions", "decimal",
+            "logging", "fractions", "decimal", "requests", "urllib.request",
+            "http.client",
         ]) == []
 
     def test_gateway_import_leaves_out_pool_and_fractions(self):
         assert loaded_after_import("rewritebench.gateway", [
-            "concurrent.futures", "logging", "fractions",
+            "concurrent.futures", "logging", "fractions", "requests",
+            "urllib.request", "http.client",
         ]) == []
+
+    def test_package_needs_only_the_standard_library(self):
+        for path in sorted((SRC / "rewritebench").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] in sys.stdlib_module_names, (
+                        f"{path.name} imports {name}"
+                    )
+        tomllib = pytest.importorskip("tomllib")
+        with open(SRC.parent / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["dependencies"] == []
 
     def test_transport_error_is_one_class(self):
         assert gateway.TransportError is core.TransportError

@@ -6,12 +6,15 @@ import dataclasses
 import json
 import pathlib
 import signal
+import socket
 import sys
 import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from chat_server import STALL, TRUNCATE, chat_reply
 
 from rewritebench.core import RewriteRule, apply_cascade
 from rewritebench.evaluator import EvalRecord, aggregate_pbe
@@ -185,18 +188,9 @@ class TestChatSend:
         [("12", 12.0), ("0.5", 0.5), (None, None), ("-3", None), ("inf", None),
          ("nan", None), ("Wed, 21 Oct 2015 07:28:00 GMT", None)],
     )
-    def test_http_backend_reads_retry_after(self, monkeypatch, header, expected):
-        import requests
-
-        class Response:
-            status_code = 429
-            headers = {} if header is None else {"Retry-After": header}
-
-            def json(self):
-                return {}
-
-        monkeypatch.setattr(requests, "post", lambda *a, **kw: Response())
-        result = HttpChatBackend().send(self._config(), {})
+    def test_http_backend_reads_retry_after(self, loopback, header, expected):
+        loopback.script([(429, b"{}", {} if header is None else {"Retry-After": header})])
+        result = HttpChatBackend().send(SolverConfig(endpoint_url=loopback.url), {})
         assert result.status_code == 429
         assert result.retry_after == expected
 
@@ -215,6 +209,92 @@ class TestChatSend:
         backend = MockChatBackend([MockChatBackend.ok("")])
         resp = chat_send("p", self._config(), backend, sleep=lambda _: None)
         assert resp.text == ""
+
+
+def closed_port_url():
+    """The URL of a loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1/chat"
+
+
+class TestHttpBackend:
+    """Each branch of ``chat_send`` through the real backend, against a
+    loopback server that answers with scripted replies."""
+
+    def _send(self, loopback, replies, **kw):
+        """The reply to one chat_send, and the waits it asked for."""
+        loopback.script(replies)
+        config = SolverConfig(**{"endpoint_url": loopback.url, **kw})
+        delays = []
+        return chat_send("p", config, HttpChatBackend(), sleep=delays.append), delays
+
+    def test_ok(self, loopback, monkeypatch):
+        monkeypatch.delenv("REWRITEBENCH_API_KEY", raising=False)
+        resp, delays = self._send(loopback, [chat_reply("fine")], model_id="m")
+        assert (resp.text, resp.finish_reason, resp.retries_used) == ("fine", "stop", 0)
+        assert delays == []
+        [(headers, body)] = loopback.requests
+        assert headers["Content-Type"] == "application/json"
+        assert "Authorization" not in headers
+        assert body["model"] == "m"
+        assert body["messages"] == [{"role": "user", "content": "p"}]
+
+    @pytest.mark.parametrize("first", [
+        (500, b"{}", {}), (503, b"<html>busy</html>", {}), STALL, TRUNCATE,
+    ], ids=["500", "503-not-json", "stall", "truncated"])
+    def test_transient_failure_then_ok(self, loopback, first):
+        resp, delays = self._send(
+            loopback, [first, chat_reply("fine")], timeout_ms=100
+        )
+        assert (resp.text, resp.retries_used) == ("fine", 1)
+        assert delays == [0.5]
+        assert len(loopback.requests) == 2
+
+    def test_rate_limit_waits_retry_after(self, loopback):
+        resp, delays = self._send(
+            loopback, [(429, b"{}", {"Retry-After": "1"}), chat_reply("fine")]
+        )
+        assert resp.retries_used == 1
+        assert delays == [1.0]
+
+    @pytest.mark.parametrize("status, message", [
+        (401, "authentication failure"), (403, "authentication failure"),
+        (404, "unexpected status 404"),
+    ])
+    def test_fatal_status_not_retried(self, loopback, status, message):
+        with pytest.raises(TransportError, match=message):
+            self._send(loopback, [(status, b"{}", {})])
+        assert len(loopback.requests) == 1
+
+    def test_body_that_is_not_json_is_a_malformed_envelope(self, loopback):
+        with pytest.raises(TransportError, match="malformed"):
+            self._send(loopback, [(200, b"not json", {})])
+        assert len(loopback.requests) == 1
+
+    def test_refused_connection_exhausts_retries(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "*")
+        config = SolverConfig(endpoint_url=closed_port_url(), retry_count=1)
+        delays = []
+        with pytest.raises(TransportError, match="retries exhausted.*refused"):
+            chat_send("p", config, HttpChatBackend(), sleep=delays.append)
+        assert delays == [0.5]
+
+    def test_truncated_reply_is_transient(self, loopback):
+        loopback.script([TRUNCATE])
+        with pytest.raises(TransientBackendError):
+            HttpChatBackend().send(SolverConfig(endpoint_url=loopback.url), {})
+
+    @pytest.mark.parametrize("url", [
+        "file:///etc/hostname", "ftp://127.0.0.1/v1", "data:,{}",
+        "127.0.0.1:8080/v1", "example.com/v1", "", "http://", "https:///v1",
+        "http://127.0.0.1:port/v1", "http://127.0.0.1:99999/v1",
+        "http://127.0.0.1:0/v1", "http://127.0.0.1/v 1",
+    ])
+    def test_endpoint_that_is_not_http_is_rejected(self, url):
+        with pytest.raises(ValueError, match="is not a valid http or https URL"):
+            HttpChatBackend().send(SolverConfig(endpoint_url=url), {})
 
 
 def gt_response(instance):
