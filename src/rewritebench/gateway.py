@@ -224,14 +224,19 @@ class HttpChatBackend:
             url, data=json.dumps(body, allow_nan=False).encode("utf-8"),
             headers=headers, method="POST",
         )
-        # A status other than 2xx arrives as an HTTPError, which is also
-        # the response; a failure to connect or to read the whole reply
-        # (refused, reset, timed out, cut short) is retryable.
+        # A redirect is not followed, so the credential goes to no other
+        # URL: a 30x arrives as an HTTPError like any status other than
+        # 2xx, and the HTTPError is also the response. A failure to connect
+        # or to read the whole reply (refused, reset, timed out, cut short)
+        # is retryable.
+        class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args, **kwargs):
+                return None
+
+        opener = urllib.request.build_opener(RefuseRedirects)
         try:
             try:
-                resp = urllib.request.urlopen(
-                    request, timeout=config.timeout_ms / 1000.0
-                )
+                resp = opener.open(request, timeout=config.timeout_ms / 1000.0)
             except urllib.error.HTTPError as exc:
                 resp = exc
             with resp:

@@ -1,6 +1,7 @@
 """A chat-completion endpoint on the loopback interface, for tests that
 send requests through the real HTTP backend."""
 
+import contextlib
 import http.server
 import json
 import threading
@@ -22,6 +23,13 @@ def chat_reply(text):
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
+        self._answer(json.loads(body))
+
+    def do_GET(self):
+        # A client that follows a redirect of its POST may ask again by GET.
+        self._answer(None)
+
+    def _answer(self, body):
         reply = self.server.take(self.headers, body)
         if reply == STALL:
             self.server.released.wait(0.5)
@@ -43,7 +51,8 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 class LoopbackChatServer(http.server.ThreadingHTTPServer):
     """A chat endpoint on 127.0.0.1 that answers each request with the
     next reply of its script, the last one repeated once the script runs
-    out, and records each request's headers and decoded JSON body.
+    out, and records each request's headers and decoded JSON body (None
+    for a GET).
 
     Closing it waits for every handler thread, and a stalled handler
     returns as soon as the server is closed."""
@@ -64,10 +73,24 @@ class LoopbackChatServer(http.server.ThreadingHTTPServer):
 
     def take(self, headers, body):
         with self._lock:
-            self.requests.append((headers, json.loads(body)))
+            self.requests.append((headers, body))
             return self.replies[min(len(self.requests), len(self.replies)) - 1]
 
     def close(self):
         self.released.set()
         self.shutdown()
         self.server_close()
+
+
+@contextlib.contextmanager
+def serving():
+    """A running LoopbackChatServer, closed with its threads joined."""
+    server = LoopbackChatServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,))
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

@@ -1,8 +1,6 @@
-import threading
-
 import pytest
 
-from chat_server import LoopbackChatServer, chat_reply
+from chat_server import chat_reply, serving
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -24,15 +22,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="module")
 def _loopback_server():
-    server = LoopbackChatServer()
-    thread = threading.Thread(target=server.serve_forever, args=(0.01,))
-    thread.start()
-    try:
+    with serving() as server:
         yield server
-    finally:
-        server.close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chat_server import STALL, TRUNCATE, chat_reply
+from chat_server import STALL, TRUNCATE, chat_reply, serving
 
 from rewritebench.core import RewriteRule, apply_cascade
 from rewritebench.evaluator import EvalRecord, aggregate_pbe
@@ -242,8 +242,8 @@ class TestHttpBackend:
         assert body["messages"] == [{"role": "user", "content": "p"}]
 
     @pytest.mark.parametrize("first", [
-        (500, b"{}", {}), (503, b"<html>busy</html>", {}), STALL, TRUNCATE,
-    ], ids=["500", "503-not-json", "stall", "truncated"])
+        (500, b"{}", {}), (503, b"<html>busy</html>", {}), STALL,
+    ], ids=["500", "503-not-json", "stall"])
     def test_transient_failure_then_ok(self, loopback, first):
         resp, delays = self._send(
             loopback, [first, chat_reply("fine")], timeout_ms=100
@@ -267,6 +267,16 @@ class TestHttpBackend:
         with pytest.raises(TransportError, match=message):
             self._send(loopback, [(status, b"{}", {})])
         assert len(loopback.requests) == 1
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, loopback, monkeypatch, status):
+        monkeypatch.setenv("REWRITEBENCH_API_KEY", "sk-loopback")
+        with serving() as elsewhere:
+            with pytest.raises(TransportError, match=f"unexpected status {status}"):
+                self._send(loopback, [(status, b"{}", {"Location": elsewhere.url})])
+            assert elsewhere.requests == []
+        [(headers, _)] = loopback.requests
+        assert headers["Authorization"] == "Bearer sk-loopback"
 
     def test_body_that_is_not_json_is_a_malformed_envelope(self, loopback):
         with pytest.raises(TransportError, match="malformed"):
