@@ -73,22 +73,6 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
-# The JSON value types a field of each annotation accepts, and what to
-# call them. A bool (an int subclass) is not a number and a float is not
-# an integer: each is rejected, not converted. An alphabet is written as
-# the string of its symbols. Every field's annotation is listed, so a
-# field of a new annotation fails at once instead of going unchecked.
-_FIELD_TYPES = {
-    "int": ((int,), "an integer"),
-    "Optional[int]": ((int, type(None)), "an integer or null"),
-    "float": ((int, float), "a number"),
-    "bool": ((bool,), "a boolean"),
-    "str": ((str,), "a string"),
-    "Optional[str]": ((str, type(None)), "a string or null"),
-    "Alphabet": ((str,), "a string"),
-}
-
-
 def _settings(args, cls, base: dict, what: str):
     """``cls`` built from ``base``, then the ``--config`` file, then the
     flags given: each flag's ``dest`` is the name of the field it sets."""
@@ -98,13 +82,6 @@ def _settings(args, cls, base: dict, what: str):
         (key, value) for key, value in vars(args).items()
         if key in names and value is not None
     )
-    for f in fields(cls):
-        if f.name not in config:
-            continue
-        allowed, kind = _FIELD_TYPES[f.type]
-        if type(config[f.name]) not in allowed:
-            raise CliError(f"invalid {what} configuration: "
-                           f"{f.name} {config[f.name]!r} is not {kind}")
     try:
         return cls.from_dict(config)
     except (ValueError, TypeError) as exc:

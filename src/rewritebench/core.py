@@ -9,11 +9,12 @@ the behaviour of ``str.replace``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NoReturn, Sequence
 
 
@@ -60,6 +61,61 @@ def write_json(data, path: str | None = None) -> None:
     with out as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
+
+
+_NONE = type(None)
+
+# What a field of each annotation accepts of a decoded JSON value: its
+# types, the type of every element of a list (or None), and the phrase
+# that ends "<field> <value> is ..." for a value it does not accept. A
+# bool (an int subclass) is not an integer or a number, and a float is not
+# an integer: each is rejected, not converted. JSON has no tuple, so a
+# tuple is read from a list, an alphabet from the string of its symbols
+# and a cascade from a list of rule objects.
+JSON_TYPES = {
+    "int": ((int,), None, "not an integer"),
+    "Optional[int]": ((int, _NONE), None, "not an integer or null"),
+    "float": ((int, float), None, "not a number"),
+    "bool": ((bool,), None, "not a boolean"),
+    "str": ((str,), None, "not a string"),
+    "Optional[str]": ((str, _NONE), None, "not a string or null"),
+    "Alphabet": ((str,), None, "not a string"),
+    "dict": ((dict,), None, "not an object"),
+    "Optional[dict]": ((dict, _NONE), None, "neither null nor an object"),
+    "tuple[str, ...]": ((list,), str, "not a list of strings"),
+    "tuple[int, ...]": ((list,), int, "not a list of integers"),
+    "Optional[list[int]]":
+        ((list, _NONE), int, "neither null nor a list of integers"),
+    "Cascade": ((list,), dict, "not a list of objects"),
+}
+
+
+@functools.cache
+def _checks(cls) -> dict[str, tuple]:
+    """The ``JSON_TYPES`` entry of each field of ``cls``, by field name."""
+    return {f.name: JSON_TYPES[f.type] for f in fields(cls)}
+
+
+def check_types(cls, data: dict) -> None:
+    """TypeError for the first key of ``data`` that names a field of the
+    dataclass ``cls`` and holds a value ``JSON_TYPES`` does not accept for
+    the field's annotation, or if ``data`` is not a dict. A key that is no
+    field is left to ``cls`` to reject. KeyError if a field of ``cls`` has
+    an annotation with no entry."""
+    if type(data) is not dict:
+        raise TypeError(f"{cls.__name__} record {data!r} is not an object")
+    checks = _checks(cls)
+    for name, value in data.items():
+        check = checks.get(name)
+        if check is None:
+            continue
+        types, item, what = check
+        if type(value) in types and (
+            item is None or value is None
+            or all(type(x) is item for x in value)
+        ):
+            continue
+        raise TypeError(f"{name} {value!r} is {what}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +171,12 @@ def encode_rules(rules: Sequence[RewriteRule]) -> list[dict]:
 
 
 def decode_rules(items: Sequence[dict]) -> Cascade:
-    """The inverse of ``encode_rules``."""
+    """The inverse of ``encode_rules``; TypeError if a find or replace is
+    not a string."""
+    for p in items:
+        for key in ("find", "replace"):
+            if type(p[key]) is not str:
+                raise TypeError(f"rule {key} {p[key]!r} is not a string")
     return tuple(RewriteRule(p["find"], p["replace"]) for p in items)
 
 

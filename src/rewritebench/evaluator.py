@@ -21,6 +21,7 @@ from .core import (
     Cascade,
     RewriteRule,
     apply_cascade,
+    check_types,
     levenshtein_vec,
 )
 from .permuter import ReorderInstance
@@ -157,22 +158,6 @@ def normalize_cascade(
     return NormalizedCascade(rules=executed, per_rule_valid=valid)
 
 
-# The type each EvalRecord field must hold, as read from JSON, and its name
-# in errors; a bool is not a number.
-_NUMBER = (int, float)
-_EVAL_FIELD_TYPES = {
-    "instance_id": ((str,), "a string"),
-    "passed": ((bool,), "a boolean"),
-    "edit_sim": (_NUMBER, "a number"),
-    "valid_rate_contrib": (_NUMBER, "a number"),
-    "complexity": ((int,), "an integer"),
-    "attempt_index": ((int,), "an integer"),
-    "pred_length": ((int,), "an integer"),
-    "pred_category": ((str,), "a string"),
-    "degenerate_denominator": ((bool,), "a boolean"),
-}
-
-
 @dataclass(frozen=True)
 class EvalRecord:
     """Per-instance scoring outcome for one attempt."""
@@ -192,25 +177,9 @@ class EvalRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalRecord":
-        """The record a ``to_dict`` dict holds; TypeError if a field has the
-        wrong type."""
-        r = cls(**data)
-        # The table's rules as one expression, about three times cheaper per
-        # record in replay than walking the table; the walk only names the
-        # field at fault.
-        if not (
-            str is type(r.instance_id) is type(r.pred_category)
-            and bool is type(r.passed) is type(r.degenerate_denominator)
-            and int is type(r.complexity) is type(r.attempt_index)
-            is type(r.pred_length)
-            and type(r.edit_sim) in _NUMBER
-            and type(r.valid_rate_contrib) in _NUMBER
-        ):
-            for name, (types, what) in _EVAL_FIELD_TYPES.items():
-                value = getattr(r, name)
-                if type(value) not in types:
-                    raise TypeError(f"{name} {value!r} is not {what}")
-        return r
+        """The record a ``to_dict`` dict holds; TypeError on a mistyped field."""
+        check_types(cls, data)
+        return cls(**data)
 
 
 def evaluate_pbe(
@@ -364,16 +333,8 @@ class ReorderEval:
     @classmethod
     def from_dict(cls, data: dict) -> "ReorderEval":
         """The record a ``to_dict`` dict holds; TypeError on a mistyped field."""
-        r = cls(**data)
-        if type(r.passed) is not bool:
-            raise TypeError(f"passed {r.passed!r} is not a boolean")
-        if r.perm is not None and not (
-            type(r.perm) is list and all(type(i) is int for i in r.perm)
-        ):
-            raise TypeError(f"perm {r.perm!r} is neither null nor a list of integers")
-        if type(r.attempt_index) is not int:
-            raise TypeError(f"attempt_index {r.attempt_index!r} is not an integer")
-        return r
+        check_types(cls, data)
+        return cls(**data)
 
 
 def aggregate_reorder(

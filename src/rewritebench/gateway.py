@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Protocol, Sequence
 
 from . import evaluator
-from .core import FINITE_JSON, TransportError  # re-exported; see core
+from .core import FINITE_JSON, check_types
+from .core import TransportError  # re-exported; see core
 from .permuter import ReorderInstance
 from .proposer import PbeInstance
 
@@ -170,6 +171,7 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
+        check_types(cls, data)
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown solver keys: {sorted(unknown)}")
@@ -369,17 +371,17 @@ def chat_send(
         try:
             choice = result.payload["choices"][0]
             content = choice["message"]["content"]
-            finish = choice.get("finish_reason", "")
+            finish = choice.get("finish_reason")
+            reply = {
+                "text": "" if content is None else content,
+                "finish_reason": "" if finish is None else finish,
+                "token_usage": result.payload.get("usage") or {},
+            }
+            # An attempt log holds these, and its loader takes no other types.
+            check_types(ChatResponse, reply)
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed response envelope: {exc!r}")
-        if content is None:
-            content = ""
-        return ChatResponse(
-            text=content,
-            finish_reason=finish,
-            token_usage=result.payload.get("usage", {}) or {},
-            retries_used=attempt,
-        )
+        return ChatResponse(**reply, retries_used=attempt)
     raise TransportError(
         f"retries exhausted after {config.retry_count + 1} attempts: {last_error}"
     )
@@ -401,16 +403,9 @@ class AttemptLog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AttemptLog":
-        """The log a ``to_dict`` record holds; TypeError if a field that
-        replay reads has the wrong type."""
-        log = cls(**data)
-        if not isinstance(log.instance_id, str):
-            raise TypeError(f"instance_id {log.instance_id!r} is not a string")
-        if type(log.attempt_index) is not int:
-            raise TypeError(f"attempt_index {log.attempt_index!r} is not an integer")
-        if log.eval is not None and not isinstance(log.eval, dict):
-            raise TypeError(f"eval {log.eval!r} is neither null nor an object")
-        return log
+        """The log a ``to_dict`` record holds; TypeError on a mistyped field."""
+        check_types(cls, data)
+        return cls(**data)
 
 
 def prompt_hash(prompt: str) -> str:

@@ -17,6 +17,7 @@ from .core import (
     Cascade,
     EmptySourceError,
     apply_cascade,
+    check_types,
     decode_rules,
     encode_rules,
     read_json,
@@ -63,6 +64,7 @@ class ReorderInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReorderInstance":
+        check_types(cls, data)
         return cls(
             source_id=data["id"],
             inputs=tuple(data["inputs"]),

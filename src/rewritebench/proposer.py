@@ -18,6 +18,7 @@ from .core import (
     Cascade,
     RewriteRule,
     apply_rule_vec,
+    check_types,
     decode_rules,
     encode_rules,
     read_json,
@@ -92,6 +93,7 @@ class GeneratorParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorParams":
+        check_types(cls, data)
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown generator keys: {sorted(unknown)}")
@@ -190,11 +192,12 @@ class Dataset:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Dataset":
-        stats = GenerationStats(**data.get("stats", {}))
+        stats = data.get("stats", {})
+        check_types(GenerationStats, stats)
         return cls(
             params=GeneratorParams.from_dict(data["params"]),
             instances=[PbeInstance.from_dict(d) for d in data["instances"]],
-            stats=stats,
+            stats=GenerationStats(**stats),
         )
 
     def save(self, path: str) -> None:

@@ -716,7 +716,9 @@ class TestSolveEvalReport:
 
     @pytest.mark.parametrize("field, value", [
         ("eval", [1]), ("eval", "x"), ("eval", 3), ("attempt_index", "0"),
-        ("attempt_index", True), ("instance_id", 5),
+        ("attempt_index", True), ("instance_id", 5), ("extracted", "no"),
+        ("raw_text", 5), ("finish_reason", None), ("token_usage", []),
+        ("prompt_hash", 1),
     ])
     def test_attempt_field_of_the_wrong_type_exits_1(
         self, datasets, tmp_path, capsys, field, value
@@ -773,7 +775,6 @@ class TestSolveEvalReport:
     @pytest.mark.parametrize("command, solve, field, value", [
         ("report", "solve", "edit_sim", "x"),
         ("eval-reorder", "solve-reorder", "passed", "false"),
-        ("eval-reorder", "solve-reorder", "extracted", "no"),
     ])
     def test_field_selection_reads_of_the_wrong_type_exits_1(
         self, datasets, tmp_path, capsys, command, solve, field, value
@@ -794,7 +795,7 @@ class TestSolveEvalReport:
         logs = [json.loads(line) for line in attempts.read_text().splitlines()]
         assert (logs[1]["instance_id"], logs[1]["attempt_index"]) == (
             logs[0]["instance_id"], 1)
-        (logs[1] if field == "extracted" else logs[1]["eval"])[field] = value
+        logs[1]["eval"][field] = value
         attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
         code, out, err = run(
             capsys, command, "--dataset", str(dataset),
@@ -1048,6 +1049,29 @@ class TestDatasetKind:
             "eval-reorder", lambda d: d["instances"][0].pop("n_valid_orders")
         ),
         "bad-category": ("stats", lambda d: d["instances"][0].update(category="12")),
+        "is-unique-string": (
+            "eval-reorder", lambda d: d["instances"][0].update(is_unique="false")
+        ),
+        "gt-order-string": (
+            "eval-reorder", lambda d: d["instances"][0].update(gt_order="012")
+        ),
+        "n-valid-orders-string": (
+            "eval-reorder",
+            lambda d: d["instances"][0].update(n_valid_orders="lots"),
+        ),
+        "stats-attempts-string": (
+            "stats", lambda d: d["stats"].update(attempts="many")
+        ),
+        "find-not-a-string": (
+            "stats", lambda d: d["instances"][0]["programs"][0].update(find=5)
+        ),
+        "find-not-a-string-perm": (
+            "perm", lambda d: d["instances"][0]["programs"][0].update(find=5)
+        ),
+        "replace-null": (
+            "eval-reorder",
+            lambda d: d["instances"][0]["scrambled_programs"][0].update(replace=None),
+        ),
     }
 
     def _run(self, capsys, tmp_path, command, dataset):

@@ -3,6 +3,7 @@ independent brute-force oracles."""
 
 import functools
 import json
+from dataclasses import fields, make_dataclass
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,9 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 from rewritebench.core import (
     Alphabet,
     EmptySourceError,
+    JSON_TYPES,
     RewriteRule,
     apply_cascade,
     apply_rule,
+    check_types,
+    decode_rules,
+    encode_rules,
     levenshtein,
     levenshtein_vec,
     read_json,
@@ -210,3 +215,111 @@ class TestJsonFiles:
     def test_write_without_a_path_goes_to_stdout(self, capsys):
         write_json(self.DATA)
         assert capsys.readouterr().out == json.dumps(self.DATA, indent=2) + "\n"
+
+
+# For each annotation of ``JSON_TYPES``: a value it accepts and one it
+# rejects.
+TYPE_CASES = [
+    ("int", -3, True),
+    ("int", 0, 1.0),
+    ("Optional[int]", None, "3"),
+    ("Optional[int]", 7, False),
+    ("float", 2, True),
+    ("float", 0.5, "0.5"),
+    ("bool", False, 0),
+    ("str", "", None),
+    ("Optional[str]", None, 5),
+    ("Alphabet", "ab", ["a", "b"]),
+    ("dict", {}, None),
+    ("Optional[dict]", None, [1]),
+    ("tuple[str, ...]", [], "a"),
+    ("tuple[str, ...]", ["a", ""], ["a", 1]),
+    ("tuple[int, ...]", [2, 0, 1], [True]),
+    ("tuple[int, ...]", [], [0.0]),
+    ("Optional[list[int]]", None, [True]),
+    ("Optional[list[int]]", [1, 0], (1, 0)),
+    ("Cascade", [{"find": "a", "replace": ""}], [["a", ""]]),
+]
+
+
+def _records():
+    """One record of each class whose ``from_dict`` checks types, and the
+    dict its loader is given."""
+    from rewritebench.evaluator import EvalRecord, ReorderEval
+    from rewritebench.gateway import AttemptLog, SolverConfig
+    from rewritebench.permuter import ReorderInstance
+    from rewritebench.proposer import GenerationStats, lite_params
+
+    return [
+        SolverConfig(),
+        lite_params(seed=0),
+        GenerationStats(attempts=3, acceptances=2, patience_exhausted=True),
+        EvalRecord("inst-0", False, 0.5, 1.0, 4, 1, 2, "0101", False),
+        ReorderEval(False, None, 0),
+        ReorderEval(True, [1, 0], 1),
+        AttemptLog("inst-0", 0, "ab12", None, "stop", {"total_tokens": 3},
+                   True, {"passed": True}),
+        ReorderInstance("inst-0", ("ab",), ("cc",),
+                        (RewriteRule("b", "c"), RewriteRule("a", "c")),
+                        (1, 0), 1, True),
+    ]
+
+
+class TestCheckTypes:
+    def test_every_annotation_has_cases(self):
+        assert {case[0] for case in TYPE_CASES} == set(JSON_TYPES)
+
+    @pytest.mark.parametrize("annotation, good, bad", TYPE_CASES)
+    def test_accepts_and_rejects(self, annotation, good, bad):
+        record = make_dataclass("Record", [("x", annotation)])
+        check_types(record, {"x": good})
+        with pytest.raises(TypeError) as exc:
+            check_types(record, {"x": bad})
+        assert str(exc.value) == f"x {bad!r} is {JSON_TYPES[annotation][2]}"
+
+    def test_key_that_is_no_field_is_ignored(self):
+        record = make_dataclass("Record", [("x", "int")])
+        check_types(record, {"y": "anything", "x": 1})
+
+    def test_first_bad_key_of_the_data_is_named(self):
+        record = make_dataclass("Record", [("x", "int"), ("y", "str")])
+        with pytest.raises(TypeError, match="^y 1 is not a string$"):
+            check_types(record, {"y": 1, "x": "1"})
+
+    def test_data_that_is_not_a_dict_is_rejected(self):
+        record = make_dataclass("Record", [("x", "int")])
+        with pytest.raises(TypeError, match="Record record \\[1\\] is not an object"):
+            check_types(record, [1])
+
+    def test_field_of_an_annotation_without_an_entry_raises_key_error(self):
+        record = make_dataclass("Record", [("x", "int"), ("y", "set[int]")])
+        with pytest.raises(KeyError):
+            check_types(record, {"x": 1})
+
+    @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+    def test_every_field_has_an_entry(self, record):
+        """Every field of a checked class, among them each that ``to_dict``
+        writes, has an annotation in the table, so a field of a new
+        annotation fails here, not at a user's load; and a record's own
+        dict passes the check and loads back equal."""
+        cls = type(record)
+        for f in fields(cls):
+            assert f.type in JSON_TYPES, (cls.__name__, f.name, f.type)
+        data = record.to_dict()
+        check_types(cls, json.loads(json.dumps(data)))
+        if hasattr(cls, "from_dict"):
+            assert cls.from_dict(json.loads(json.dumps(data))) == record
+
+
+class TestDecodeRules:
+    def test_round_trip(self):
+        rules = (RewriteRule("ab", ""), RewriteRule("c", "dd"))
+        assert decode_rules(encode_rules(rules)) == rules
+
+    @pytest.mark.parametrize("rule, message", [
+        ({"find": 5, "replace": "a"}, "rule find 5 is not a string"),
+        ({"find": "a", "replace": None}, "rule replace None is not a string"),
+    ])
+    def test_side_that_is_not_a_string_is_rejected(self, rule, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            decode_rules([{"find": "x", "replace": "y"}, rule])

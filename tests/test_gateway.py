@@ -205,6 +205,29 @@ class TestChatSend:
         with pytest.raises(TransportError, match="malformed"):
             chat_send("p", self._config(), backend, sleep=lambda _: None)
 
+    @pytest.mark.parametrize("choice, usage, field", [
+        ({"message": {"content": 5}}, None, "text"),
+        ({"message": {"content": ["x"]}}, None, "text"),
+        ({"message": {"content": "x"}, "finish_reason": 1}, None, "finish_reason"),
+        ({"message": {"content": "x"}}, [1], "token_usage"),
+    ])
+    def test_envelope_value_an_attempt_log_cannot_hold_is_malformed(
+        self, choice, usage, field
+    ):
+        backend = MockChatBackend(
+            [BackendResult(200, {"choices": [choice], "usage": usage})]
+        )
+        with pytest.raises(TransportError, match=f"malformed.*{field}"):
+            chat_send("p", self._config(), backend, sleep=lambda _: None)
+
+    def test_null_content_finish_reason_and_usage_read_as_empty(self):
+        choice = {"message": {"content": None}, "finish_reason": None}
+        backend = MockChatBackend(
+            [BackendResult(200, {"choices": [choice], "usage": None})]
+        )
+        resp = chat_send("p", self._config(), backend, sleep=lambda _: None)
+        assert (resp.text, resp.finish_reason, resp.token_usage) == ("", "", {})
+
     def test_empty_content_is_returned_not_fatal(self):
         backend = MockChatBackend([MockChatBackend.ok("")])
         resp = chat_send("p", self._config(), backend, sleep=lambda _: None)
