@@ -54,24 +54,114 @@ def read_json(path: str):
         return FINITE_JSON.decode(fh.read())
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float(value: float) -> str:
+    """A float as ``json`` writes it, NaN and the infinities by name."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _render(value, nl: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, nested so
+    that ``nl``, a newline and the indent around it, starts each of its
+    lines after the first. The types are tested in ``json``'s order, so a
+    subclass of ``int`` or ``float`` goes out as its base does. TypeError
+    for a dict key that is not a string and for a value ``json`` cannot
+    write."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # A list of strings, or of ints, is one ``join``.
+        types = set(map(type, value))
+        if types == {str}:
+            items = map(_encode_str, value)
+        elif types == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_render(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _encode_str(key) + ": " + _render(item, inner)
+            for key, item in value.items()
+        ]) + nl + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write(write, value, nl: str, depth: int) -> None:
+    """``_render(value, nl)`` passed to ``write``; a non-empty list, tuple
+    or dict less than ``depth`` levels down goes out item by item, each as
+    soon as it is rendered."""
+    if not (depth and isinstance(value, (list, tuple, dict)) and value):
+        write(_render(value, nl))
+        return
+    inner = nl + "  "
+    sep = inner
+    if isinstance(value, dict):
+        write("{")
+        for key, item in value.items():
+            write(sep + _encode_str(key) + ": ")
+            _write(write, item, inner, depth - 1)
+            sep = "," + inner
+        write(nl + "}")
+    else:
+        write("[")
+        for item in value:
+            write(sep)
+            _write(write, item, inner, depth - 1)
+            sep = "," + inner
+        write(nl + "]")
+
+
 def write_json(data, path: str | None = None) -> None:
     """``data`` as JSON indented by 2, and a newline, streamed to the file at
-    ``path`` (replacing it) or, without one, to stdout."""
+    ``path`` (replacing it) or, without one, to stdout.
+
+    The bytes are those of ``json.dump(data, fh, indent=2)``, rendered
+    here because CPython's ``json`` runs its pure-Python encoder whenever
+    it indents. Each item of the top two levels (a dataset's or perm set's
+    instances, a report's records) is written as soon as it is rendered,
+    so the whole document is never held as one string. TypeError for a
+    dict key that is not a string."""
     out = open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
     with out as fh:
-        json.dump(data, fh, indent=2)
+        _write(fh.write, data, "\n", 2)
         fh.write("\n")
 
 
 _NONE = type(None)
 
 # What a field of each annotation accepts of a decoded JSON value: its
-# types, the type of every element of a list (or None), and the phrase
-# that ends "<field> <value> is ..." for a value it does not accept. A
-# bool (an int subclass) is not an integer or a number, and a float is not
-# an integer: each is rejected, not converted. JSON has no tuple, so a
-# tuple is read from a list, an alphabet from the string of its symbols
-# and a cascade from a list of rule objects.
+# types, the type of every element of a list (or None, or for a list of
+# fixed-length rows the types of a row's elements), and the phrase that
+# ends "<key> <value> is ..." for a value it does not accept. A bool (an
+# int subclass) is not an integer or a number, and a float is not an
+# integer: each is rejected, not converted. JSON has no tuple, so a tuple
+# is read from a list, an alphabet from the string of its symbols, a
+# cascade from a list of rule objects and a relation edge from an
+# ``[i, kind, j]`` row.
 JSON_TYPES = {
     "int": ((int,), None, "not an integer"),
     "Optional[int]": ((int, _NONE), None, "not an integer or null"),
@@ -87,35 +177,47 @@ JSON_TYPES = {
     "Optional[list[int]]":
         ((list, _NONE), int, "neither null nor a list of integers"),
     "Cascade": ((list,), dict, "not a list of objects"),
+    "tuple[RelationEdge, ...]":
+        ((list,), (int, str, int), "not a list of [int, str, int] rows"),
 }
 
 
 @functools.cache
 def _checks(cls) -> dict[str, tuple]:
-    """The ``JSON_TYPES`` entry of each field of ``cls``, by field name."""
-    return {f.name: JSON_TYPES[f.type] for f in fields(cls)}
+    """The ``JSON_TYPES`` entry of each field of ``cls``, by its JSON key:
+    the field's ``metadata["key"]``, else its name."""
+    return {
+        f.metadata.get("key", f.name): JSON_TYPES[f.type] for f in fields(cls)
+    }
+
+
+def _elements_are(value: list, item) -> bool:
+    if type(item) is tuple:
+        return all(
+            type(x) is list and tuple(map(type, x)) == item for x in value
+        )
+    return set(map(type, value)) <= {item}
 
 
 def check_types(cls, data: dict) -> None:
-    """TypeError for the first key of ``data`` that names a field of the
-    dataclass ``cls`` and holds a value ``JSON_TYPES`` does not accept for
-    the field's annotation, or if ``data`` is not a dict. A key that is no
-    field is left to ``cls`` to reject. KeyError if a field of ``cls`` has
-    an annotation with no entry."""
+    """TypeError for the first key of ``data`` that is the JSON key of a
+    field of the dataclass ``cls`` and holds a value ``JSON_TYPES`` does
+    not accept for the field's annotation, or if ``data`` is not a dict. A
+    key of no field is left to ``cls`` to reject. KeyError if a field of
+    ``cls`` has an annotation with no entry."""
     if type(data) is not dict:
         raise TypeError(f"{cls.__name__} record {data!r} is not an object")
     checks = _checks(cls)
-    for name, value in data.items():
-        check = checks.get(name)
+    for key, value in data.items():
+        check = checks.get(key)
         if check is None:
             continue
         types, item, what = check
         if type(value) in types and (
-            item is None or value is None
-            or all(type(x) is item for x in value)
+            item is None or value is None or _elements_are(value, item)
         ):
             continue
-        raise TypeError(f"{name} {value!r} is {what}")
+        raise TypeError(f"{key} {value!r} is {what}")
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,12 @@ reproduce the outputs decides whether the solution is unique.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
     Cascade,
     EmptySourceError,
-    apply_cascade,
     check_types,
     decode_rules,
     encode_rules,
@@ -40,10 +39,10 @@ class ReorderInstance:
     number of orders of its m rules, exceeds the cap.
     """
 
-    source_id: str
+    source_id: str = field(metadata={"key": "id"})
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    scrambled: Cascade
+    scrambled: Cascade = field(metadata={"key": "scrambled_programs"})
     gt_order: tuple[int, ...]
     n_valid_orders: Optional[int] = None
     is_unique: bool = False
@@ -76,24 +75,50 @@ class ReorderInstance:
         )
 
 
+def _joined(instance, rules: Cascade) -> tuple[str, str]:
+    """The inputs and the outputs of ``instance``, each string followed by
+    a separator that occurs in no input, output, find pattern or
+    replacement of ``rules``.
+
+    No find pattern can then match across a separator, and replacements
+    never make one, so one ``str.replace`` on the joined inputs gives
+    exactly the joined result of ``apply_rule_vec``, and two joined
+    vectors are equal exactly when the vectors are."""
+    sep = _fresh_symbol("".join((
+        *instance.inputs, *instance.outputs,
+        *[rule.source + rule.target for rule in rules],
+    )))
+    return sep.join((*instance.inputs, "")), sep.join((*instance.outputs, ""))
+
+
 def fb_swap(instance: PbeInstance) -> Optional[ReorderInstance]:
     """Scramble a cascade by its first output-changing FB transposition.
 
     FB edges are visited in stored order (row-major over ordered pairs) with
     unordered duplicates skipped, so the result is deterministic. Returns
     None when no edge exists or no single transposition changes the outputs.
+    A rule with an empty find pattern raises ``EmptySourceError`` once an
+    edge exists. Each transposed cascade runs on the joined inputs of
+    ``_joined``.
     """
-    seen_pairs: set[frozenset[int]] = set()
-    rules = list(instance.cascade)
+    if not instance.fb_edges:
+        return None
+    rules = instance.cascade
+    if any(not rule.source for rule in rules):
+        raise EmptySourceError("cannot apply a rule with an empty find pattern")
+    inputs, outputs = _joined(instance, rules)
+    seen_pairs: set[tuple[int, int]] = set()
     for edge in instance.fb_edges:
-        pair = frozenset((edge.i, edge.j))
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
         a, b = min(edge.i, edge.j), max(edge.i, edge.j)
+        if (a, b) in seen_pairs:
+            continue
+        seen_pairs.add((a, b))
         swapped = list(rules)
         swapped[a], swapped[b] = swapped[b], swapped[a]
-        if tuple(apply_cascade(swapped, instance.inputs)) == instance.outputs:
+        text = inputs
+        for rule in swapped:
+            text = text.replace(rule.source, rule.target)
+        if text == outputs:
             continue
         order = list(range(len(rules)))
         order[a], order[b] = order[b], order[a]
@@ -112,17 +137,13 @@ def count_valid_orders(instance: ReorderInstance, cap: int = 40320) -> int:
 
     Exact, and |scrambled|! must not exceed ``cap``. Counts over subsets
     rather than permutations: the state is (rules not yet applied, current
-    vector), and every order through a state shares its completions, so
-    orders with a common prefix, or prefixes that reach the same vector with
-    the same rules left, are worked out once. Always at least 1 because
-    gt_order is valid by construction. A rule with an empty find pattern
-    raises ``EmptySourceError``, but only once m! fits under ``cap``.
-
-    The vector is held as one string: its strings, each followed by a
-    separator that occurs in no string and no rule. No find pattern can
-    then match across a separator, and replacements never make one, so one
-    ``str.replace`` on the joined string gives exactly the joined result of
-    ``apply_rule_vec``.
+    vector), and one sweep per rule carries the number of orders reaching
+    each state to the states one rule on, so orders with a common prefix,
+    or prefixes that reach the same vector with the same rules left, are
+    worked out once. Always at least 1 because gt_order is valid by
+    construction. A rule with an empty find pattern raises
+    ``EmptySourceError``, but only once m! fits under ``cap``. The vector
+    is held as one string, joined by ``_joined``.
     """
     rules = instance.scrambled
     m = len(rules)
@@ -132,30 +153,19 @@ def count_valid_orders(instance: ReorderInstance, cap: int = 40320) -> int:
         )
     if any(not rule.source for rule in rules):
         raise EmptySourceError("cannot apply a rule with an empty find pattern")
-    used = set("".join((
-        *instance.inputs, *instance.outputs,
-        *(rule.source + rule.target for rule in rules),
-    )))
-    sep = _fresh_symbol(used)
-    outputs = "".join(s + sep for s in instance.outputs)
+    inputs, outputs = _joined(instance, rules)
     steps = [(1 << i, rule.source, rule.target) for i, rule in enumerate(rules)]
-    memo: dict[tuple[int, str], int] = {}
-
-    def completions(left: int, text: str) -> int:
-        # ``left`` has bit i set while rule i is still to be applied.
-        if not left:
-            return 1 if text == outputs else 0
-        key = (left, text)
-        count = memo.get(key)
-        if count is None:
-            count = 0
+    # ``left`` has bit i set while rule i is still to be applied.
+    states = {((1 << m) - 1, inputs): 1}
+    for _ in range(m):
+        reached: dict[tuple[int, str], int] = {}
+        for (left, text), count in states.items():
             for bit, source, target in steps:
                 if left & bit:
-                    count += completions(left ^ bit, text.replace(source, target))
-            memo[key] = count
-        return count
-
-    return completions((1 << m) - 1, "".join(s + sep for s in instance.inputs))
+                    key = (left ^ bit, text.replace(source, target))
+                    reached[key] = reached.get(key, 0) + count
+        states = reached
+    return sum(count for (_, text), count in states.items() if text == outputs)
 
 
 def build_perm_dataset(
@@ -172,9 +182,13 @@ def build_perm_dataset(
             continue
         try:
             n = count_valid_orders(reorder, cap=order_count_cap)
-            reorder = replace(reorder, n_valid_orders=n, is_unique=(n == 1))
         except CapacityError:
             pass  # too many orders to count: uniqueness stays unknown
+        else:
+            reorder = ReorderInstance(
+                reorder.source_id, reorder.inputs, reorder.outputs,
+                reorder.scrambled, reorder.gt_order, n, n == 1,
+            )
         out.append(reorder)
     return out
 

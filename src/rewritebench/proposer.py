@@ -123,7 +123,7 @@ class PbeInstance:
 
     id: str
     inputs: tuple[str, ...]
-    cascade: Cascade
+    cascade: Cascade = field(metadata={"key": "programs"})
     outputs: tuple[str, ...]
     category: str
     fb_edges: tuple[RelationEdge, ...]
@@ -154,6 +154,7 @@ class PbeInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PbeInstance":
+        check_types(cls, data)
         category = data["category"]
         if category not in ALL_CATEGORIES:
             raise ValueError(f"malformed category string {category!r}")

@@ -169,9 +169,9 @@ def category_of(
 _FRESH_POOL = "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _fresh_symbol(used: set[str]) -> str:
-    """The first pool character not in ``used``, else the lowest code point
-    not in it."""
+def _fresh_symbol(used: Collection[str]) -> str:
+    """The first pool character not in ``used`` (a set of characters, or a
+    string), else the lowest code point not in it."""
     for c in _FRESH_POOL:
         if c not in used:
             return c

@@ -5,7 +5,9 @@ Criterion 1 is implemented exactly as stated and is expected to fail:
 the symbolic relation classifier and the count-increase witness oracle
 diverge structurally on a few percent of random pairs (see the Testing
 section of README.md). The measured numbers are reported in the printed
-detail; nothing is weakened to force a pass.
+detail; nothing is weakened to force a pass. The extra
+``test_criteria_01_and_02_conflict`` counts, on criterion 1's own pairs,
+why it cannot pass together with criterion 2.
 """
 
 import itertools
@@ -110,6 +112,28 @@ def test_criterion_01_oracle_equivalence(pair_corpus):
 def test_criterion_02_bleeding_identity(pair_corpus):
     ok = all(bleeds(p, q) == feeds(p.reversed(), q) for p, q in pair_corpus)
     report(2, ok, f"identity exact over {PAIR_COUNT} pairs")
+
+
+def test_criteria_01_and_02_conflict(pair_corpus):
+    """On criterion 1's own pairs, the witness oracles break criterion 2's
+    identity: where ``oracle_bleeds(p, q)`` and ``oracle_feeds(p.reversed(),
+    q)`` disagree, no classifier can match the oracles (criterion 1) and
+    keep ``bleeds(p, q) == feeds(p.reversed(), q)`` (criterion 2). If the
+    count ever reaches 0, both criteria may pass."""
+    conflicts = []
+    for p, q in pair_corpus:
+        bound = default_oracle_bound(p, q)
+        if (oracle_bleeds(p, q, bound) is None) != (
+            oracle_feeds(p.reversed(), q, bound) is None
+        ):
+            conflicts.append((p, q))
+    corpus = set(pair_corpus)
+    twins = sum((p.reversed(), q) in corpus for p, q in conflicts)
+    print(f"\n{len(conflicts)} of {PAIR_COUNT} pairs break criterion 2 under "
+          f"the oracles; {twins} of them have their reversed twin in the corpus")
+    assert conflicts
+    assert any(p == RewriteRule("b", "cc") and q.source == "cb"
+               for p, q in conflicts)
 
 
 def test_criterion_03_reversal_duality():

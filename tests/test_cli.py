@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -17,9 +18,9 @@ from chat_server import TRUNCATE, chat_reply
 
 from rewritebench import core, gateway
 from rewritebench.cli import dispatch
-from rewritebench.core import RewriteRule, apply_rule
+from rewritebench.core import RewriteRule, apply_rule, write_json
 from rewritebench.gateway import SolverConfig
-from rewritebench.proposer import GeneratorParams, lite_params
+from rewritebench.proposer import Dataset, GeneratorParams, lite_params
 from rewritebench.relations import default_oracle_bound
 
 
@@ -240,6 +241,21 @@ class TestPermAndStats:
     ])
     def test_lite_seed_0_files_pinned(self, lite_seed_0, name, digest):
         assert hashlib.sha256(lite_seed_0[name].read_bytes()).hexdigest() == digest
+
+    def test_writing_a_dataset_streams(self, lite_seed_0, tmp_path):
+        # The file is about 0.8 MB; rendering it whole before writing
+        # would hold all of it at once.
+        data = Dataset.load(str(lite_seed_0["dataset"])).to_dict()
+        path = tmp_path / "copy.json"
+        tracemalloc.start()
+        try:
+            write_json(data, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == lite_seed_0["dataset"].read_bytes()
+        assert path.stat().st_size > 700_000
+        assert peak < 256 * 1024, peak
 
 
 @pytest.fixture(scope="module")
@@ -1071,6 +1087,27 @@ class TestDatasetKind:
         "replace-null": (
             "eval-reorder",
             lambda d: d["instances"][0]["scrambled_programs"][0].update(replace=None),
+        ),
+        "input-int": ("stats", lambda d: d["instances"][0]["inputs"].__setitem__(0, 7)),
+        "input-int-perm": (
+            "perm", lambda d: d["instances"][0]["inputs"].__setitem__(0, 7)
+        ),
+        "output-null-perm": (
+            "perm", lambda d: d["instances"][0]["outputs"].__setitem__(0, None)
+        ),
+        "inputs-string": ("stats", lambda d: d["instances"][0].update(inputs="ab")),
+        "id-int": ("stats", lambda d: d["instances"][0].update(id=5)),
+        "id-int-perm": ("perm", lambda d: d["instances"][0].update(id=5)),
+        "fb-edge-index-string": (
+            "perm", lambda d: d["instances"][-1].update(fb_edges=[["0", "F", 1]])
+        ),
+        "fb-edge-index-bool": (
+            "stats", lambda d: d["instances"][-1].update(fb_edges=[[0, "B", True]])
+        ),
+        "fb-edge-pair": ("stats", lambda d: d["instances"][-1].update(fb_edges=[[0, 1]])),
+        "perm-id-int": ("eval-reorder", lambda d: d["instances"][0].update(id=5)),
+        "perm-input-int": (
+            "eval-reorder", lambda d: d["instances"][0]["inputs"].__setitem__(0, 7)
         ),
     }
 

@@ -1,7 +1,10 @@
 """Execution-semantics tests: worked examples plus property checks against
 independent brute-force oracles."""
 
+import contextlib
+import enum
 import functools
+import io
 import json
 from dataclasses import fields, make_dataclass
 
@@ -43,6 +46,33 @@ def naive_levenshtein(a: str, b: str) -> int:
 
 
 short_text = st.text(alphabet="abc", max_size=8)
+
+# Every kind of value ``write_json`` takes: text with non-ASCII, control
+# characters and lone surrogates, ints beyond 64 bits, every float JSON
+# writes specially, tuples, and nested and empty containers.
+JSON_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "\ud800", "\udfff\ud800", "é\u2028\U0001f600", '"\\/']
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(3**90), 10**300]),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 1e-7, float("nan"), float("inf"), -float("inf")]),
+    JSON_TEXT,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(JSON_TEXT, max_size=5),
+        st.lists(st.integers(), max_size=5),
+        st.dictionaries(JSON_TEXT, children, max_size=5),
+    ),
+    max_leaves=40,
+)
 rules = st.builds(
     RewriteRule,
     st.text(alphabet="abc", min_size=1, max_size=2),
@@ -216,6 +246,41 @@ class TestJsonFiles:
         write_json(self.DATA)
         assert capsys.readouterr().out == json.dumps(self.DATA, indent=2) + "\n"
 
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_writes_the_bytes_of_json_dump(self, tmp_path_factory, data):
+        expected = json.dumps(data, indent=2) + "\n"
+        path = tmp_path_factory.getbasetemp() / "write_json.json"
+        write_json(data, str(path))
+        assert path.read_bytes() == expected.encode("ascii")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            write_json(data)
+        assert out.getvalue() == expected
+
+    @pytest.mark.parametrize("data", [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, {"a": [[], {}]},
+        [[[[]]]], {"a": {"b": {"c": {}}}}, [(), ((),)], "", 0, None,
+        [type("Text", (str,), {})("é"), type("Real", (float,), {})(0.5),
+         enum.IntEnum("Level", "LOW HIGH").HIGH],
+    ], ids=repr)
+    def test_empty_nested_and_subclassed(self, capsys, data):
+        write_json(data)
+        assert capsys.readouterr().out == json.dumps(data, indent=2) + "\n"
+
+    @pytest.mark.parametrize("data", [
+        {(1, 2): "a"},
+        [{"a": [{"b": {(): 0}}]}],
+        object(),
+        [1, {"a": [object()]}],
+        {"a": {1, 2}},
+        [b"bytes"],
+    ], ids=["tuple-key", "deep-tuple-key", "object", "deep-object", "set",
+            "bytes"])
+    def test_unsupported_key_or_value_is_a_type_error(self, tmp_path, data):
+        with pytest.raises(TypeError):
+            write_json(data, str(tmp_path / "x.json"))
+
 
 # For each annotation of ``JSON_TYPES``: a value it accepts and one it
 # rejects.
@@ -239,6 +304,10 @@ TYPE_CASES = [
     ("Optional[list[int]]", None, [True]),
     ("Optional[list[int]]", [1, 0], (1, 0)),
     ("Cascade", [{"find": "a", "replace": ""}], [["a", ""]]),
+    ("tuple[RelationEdge, ...]", [[0, "F", 1], [2, "B", 0]], [[0, "F", True]]),
+    ("tuple[RelationEdge, ...]", [], [[0, "F"]]),
+    ("tuple[RelationEdge, ...]", [[1, "B", 0]], [["1", "B", 0]]),
+    ("tuple[RelationEdge, ...]", [[1, "", 0]], [(1, "B", 0)]),
 ]
 
 
@@ -248,7 +317,8 @@ def _records():
     from rewritebench.evaluator import EvalRecord, ReorderEval
     from rewritebench.gateway import AttemptLog, SolverConfig
     from rewritebench.permuter import ReorderInstance
-    from rewritebench.proposer import GenerationStats, lite_params
+    from rewritebench.proposer import GenerationStats, PbeInstance, lite_params
+    from rewritebench.relations import RelationEdge
 
     return [
         SolverConfig(),
@@ -262,6 +332,9 @@ def _records():
         ReorderInstance("inst-0", ("ab",), ("cc",),
                         (RewriteRule("b", "c"), RewriteRule("a", "c")),
                         (1, 0), 1, True),
+        PbeInstance("inst-0", ("ab",),
+                    (RewriteRule("a", "b"), RewriteRule("bb", "c")),
+                    ("c",), "1000", (RelationEdge(0, "F", 1),)),
     ]
 
 

@@ -27,7 +27,7 @@ from rewritebench.proposer import (
     lite_params,
     sample_candidate,
 )
-from rewritebench.relations import _FRESH_POOL, classify_bfcc
+from rewritebench.relations import _FRESH_POOL, RelationEdge, classify_bfcc
 
 
 def make_instance(rules, inputs, id="inst"):
@@ -82,6 +82,90 @@ class TestFbSwap:
         assert reorder is None or tuple(
             apply_cascade(reorder.scrambled, inst.inputs)
         ) != inst.outputs
+
+    @pytest.mark.parametrize("empty_at", [0, 1, 2])
+    def test_empty_find_pattern_raises_once_an_edge_exists(self, empty_at):
+        rules = [RewriteRule("a", "bc"), RewriteRule("bc", "x"),
+                 RewriteRule("y", "z")]
+        rules[empty_at] = RewriteRule("", "q")
+        inst = PbeInstance(
+            id="x", inputs=("a",), cascade=tuple(rules), outputs=("x",),
+            category="1000", fb_edges=(RelationEdge(0, "F", 1),),
+        )
+        with pytest.raises(EmptySourceError):
+            fb_swap(inst)
+        assert fb_swap(replace(inst, fb_edges=())) is None
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_list_reference_on_random_cascades(self, data):
+        # "\x00" and, in some draws, every fresh-symbol pool character
+        # occur in the strings, so the separator is then the lowest code
+        # point left free.
+        symbols = data.draw(st.sampled_from(["ab", "abc", "a\x00\x01", "0aZ\x00"]))
+        rule = st.builds(
+            RewriteRule,
+            st.text(symbols, min_size=1, max_size=2),
+            st.text(symbols, max_size=2),
+        )
+        rules = data.draw(st.lists(rule, min_size=1, max_size=5))
+        if data.draw(st.integers(0, 9)) == 0:
+            rules[data.draw(st.integers(0, len(rules) - 1))] = RewriteRule("", "a")
+        inputs = data.draw(
+            st.lists(st.text(symbols, max_size=5), min_size=1, max_size=3)
+        )
+        if data.draw(st.booleans()):
+            inputs.append(_FRESH_POOL + "\x00")
+        m = len(rules)
+        if data.draw(st.booleans()) and all(r.source for r in rules):
+            edges = classify_bfcc(rules)[1]
+        elif m > 1:
+            edge = st.tuples(
+                st.integers(0, m - 1), st.sampled_from("FB"),
+                st.integers(0, m - 2),
+            ).map(lambda e: RelationEdge(e[0], e[1], e[2] + (e[2] >= e[0])))
+            edges = data.draw(st.lists(edge, max_size=6))
+        else:
+            edges = []
+        order = data.draw(st.permutations(range(m)))
+        try:
+            outputs = tuple(apply_cascade([rules[i] for i in order], inputs))
+        except EmptySourceError:
+            outputs = tuple(inputs)
+        inst = PbeInstance(
+            id="x", inputs=tuple(inputs), cascade=tuple(rules),
+            outputs=outputs, category="0000", fb_edges=tuple(edges),
+        )
+        try:
+            expected = reference_fb_swap(inst)
+        except EmptySourceError:
+            with pytest.raises(EmptySourceError):
+                fb_swap(inst)
+            return
+        assert fb_swap(inst) == expected
+
+
+def reference_fb_swap(instance):
+    """The list-based scramble: each distinct FB pair transposed in a copy
+    of the cascade and replayed with ``apply_cascade``."""
+    seen = set()
+    for edge in instance.fb_edges:
+        a, b = min(edge.i, edge.j), max(edge.i, edge.j)
+        if (a, b) in seen:
+            continue
+        seen.add((a, b))
+        swapped = list(instance.cascade)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        if tuple(apply_cascade(swapped, instance.inputs)) == instance.outputs:
+            continue
+        order = list(range(len(swapped)))
+        order[a], order[b] = order[b], order[a]
+        return ReorderInstance(
+            source_id=instance.id, inputs=instance.inputs,
+            outputs=instance.outputs, scrambled=tuple(swapped),
+            gt_order=tuple(order),
+        )
+    return None
 
 
 class TestCountValidOrders:
