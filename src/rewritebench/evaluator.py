@@ -14,6 +14,7 @@ import ast
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
@@ -46,10 +47,18 @@ _LIST_RE = re.compile(r"\[[^\[\]]*\]", re.DOTALL)
 # lone surrogate is its own value, ast.literal_eval(q + body + q) == body for
 # either quote q. Other literals (escapes, prefixes, concatenation, comments)
 # go through ast.literal_eval.
-_PLAIN = r"""(?:'[^'\\\x00\n\r\ud800-\udfff]*'|"[^"\\\x00\n\r\ud800-\udfff]*")"""
+_SINGLE_BODY = r"[^'\\\x00\n\r\ud800-\udfff]*"
+_DOUBLE_BODY = r'[^"\\\x00\n\r\ud800-\udfff]*'
+_PLAIN = rf"""(?:'{_SINGLE_BODY}'|"{_DOUBLE_BODY}")"""
 _PLAIN_RE = re.compile(_PLAIN)
 # Each literal is followed by a comma or by the closing bracket.
 _PLAIN_LIST_RE = re.compile(rf"\[[ \t\n]*(?:{_PLAIN}[ \t\n]*(?:,[ \t\n]*|(?=\])))*\]")
+# A rule string that _RULE_RE matches with two plain literals, capturing the
+# body of each: group 1 or 2 the find pattern, 3 or 4 the replacement, by
+# quote kind. _RULE_RE then finds the same two tokens and _literal returns
+# these bodies, so reading them directly gives the same rule.
+_PLAIN_ARG = rf"""(?:'({_SINGLE_BODY})'|"({_DOUBLE_BODY})")"""
+_PLAIN_RULE_RE = re.compile(rf"\s*replace\s*\(\s*{_PLAIN_ARG}\s*,\s*{_PLAIN_ARG}\s*\)\s*")
 # What ast.literal_eval raises on input it cannot read, deeply nested input
 # included.
 _LITERAL_ERRORS = (ValueError, TypeError, SyntaxError, MemoryError, RecursionError)
@@ -73,6 +82,13 @@ def _list_literal(candidate: str):
 
 def parse_rule_string(text: str) -> Optional[RewriteRule]:
     """Parse one ``replace('A', 'B')`` string; None if malformed."""
+    m = _PLAIN_RULE_RE.fullmatch(text)
+    if m is not None:
+        single_source, double_source, single_target, double_target = m.groups()
+        return RewriteRule(
+            double_source if single_source is None else single_source,
+            double_target if single_target is None else single_target,
+        )
     m = _RULE_RE.match(text)
     if not m:
         return None
@@ -151,6 +167,8 @@ def normalize_cascade(
     valid = tuple(
         1 <= len(r.source) <= s_max and len(r.target) <= s_max for r in raw
     )
+    if len(raw) <= L_max and all(valid):
+        return NormalizedCascade(rules=tuple(raw), per_rule_valid=valid)
     identity = RewriteRule(identity_symbol, identity_symbol)
     executed = tuple(
         r if ok else identity for r, ok in zip(raw[:L_max], valid[:L_max])
@@ -180,6 +198,13 @@ class EvalRecord:
         """The record a ``to_dict`` dict holds; TypeError on a mistyped field."""
         check_types(cls, data)
         return cls(**data)
+
+
+@lru_cache
+def _baseline_distance(inputs: tuple[str, ...], outputs: tuple[str, ...]) -> int:
+    """The do-nothing prediction's distance, the same for every failing
+    reply to an instance. ``levenshtein_vec`` is looked up at call time."""
+    return levenshtein_vec(inputs, outputs)
 
 
 def evaluate_pbe(
@@ -219,7 +244,7 @@ def evaluate_pbe(
     else:
         edit_sim = 1.0 - levenshtein_vec(
             pred_outputs, instance.outputs
-        ) / levenshtein_vec(instance.inputs, instance.outputs)
+        ) / _baseline_distance(instance.inputs, instance.outputs)
     return EvalRecord(
         instance_id=instance.id,
         passed=passed,

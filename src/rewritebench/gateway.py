@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field, fields
@@ -110,6 +111,12 @@ Your ordering must be a permutation of [0, 1, ..., {n_minus_1}].
 """
 
 
+# The PBE template's text around its four fields, split once so that a
+# render is one join; the fields come in the order render_pbe_prompt fills
+# them, and the template holds no other braces.
+_PBE_TEXT = tuple(re.split(r"\{\w+\}", PBE_PROMPT_TEMPLATE))
+
+
 def _string_list(items: Sequence[str]) -> str:
     return json.dumps(list(items))
 
@@ -117,12 +124,12 @@ def _string_list(items: Sequence[str]) -> str:
 def render_pbe_prompt(instance: PbeInstance, s_max: int, L_max: int) -> str:
     if s_max < 1 or L_max < 1:
         raise ValueError("s_max and L_max must be at least 1")
-    return PBE_PROMPT_TEMPLATE.format(
-        program_length=s_max,
-        program_num=L_max,
-        inputs_list=_string_list(instance.inputs),
-        outputs_list=_string_list(instance.outputs),
-    )
+    before_length, before_num, before_inputs, before_outputs, tail = _PBE_TEXT
+    return "".join((
+        before_length, str(s_max), before_num, str(L_max),
+        before_inputs, _string_list(instance.inputs),
+        before_outputs, _string_list(instance.outputs), tail,
+    ))
 
 
 def render_reorder_prompt(instance: ReorderInstance) -> str:
@@ -511,10 +518,12 @@ def solve_with_budget(
             scores[text] = task.score(instance, text, k)
         record, extracted = scores[text]
         # to_dict gives each log fresh mutable values; only the index differs.
+        evaluation = record.to_dict()
+        evaluation["attempt_index"] = k
         logs.append(AttemptLog(
             instance_id=instance_id, attempt_index=k, prompt_hash=phash,
             raw_text=text, finish_reason=finish, token_usage=usage,
-            extracted=extracted, eval=record.to_dict() | {"attempt_index": k},
+            extracted=extracted, eval=evaluation,
         ))
         if record.passed and config.early_stop:
             break
@@ -620,9 +629,10 @@ def solve_dataset(
 
 def persist_attempts(logs: Sequence[AttemptLog], path: str) -> None:
     """Append one JSON object per line; existing content is preserved."""
+    encode = json.JSONEncoder().encode
     with open(path, "a", encoding="utf-8") as fh:
         for log in logs:
-            fh.write(json.dumps(log.to_dict()) + "\n")
+            fh.write(encode(vars(log)) + "\n")
 
 
 def load_attempts(path: str) -> list[AttemptLog]:

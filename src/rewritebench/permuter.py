@@ -64,6 +64,11 @@ class ReorderInstance:
     @classmethod
     def from_dict(cls, data: dict) -> "ReorderInstance":
         check_types(cls, data)
+        if data["is_unique"] != (data["n_valid_orders"] == 1):
+            raise ValueError(
+                f"is_unique {data['is_unique']!r} disagrees with "
+                f"n_valid_orders {data['n_valid_orders']!r}"
+            )
         return cls(
             source_id=data["id"],
             inputs=tuple(data["inputs"]),

@@ -158,6 +158,12 @@ class PbeInstance:
         category = data["category"]
         if category not in ALL_CATEGORIES:
             raise ValueError(f"malformed category string {category!r}")
+        m = len(data["programs"])
+        for row in data["fb_edges"]:
+            if not (0 <= row[0] < m and 0 <= row[2] < m):
+                raise ValueError(
+                    f"fb_edges row {row!r} names a rule outside 0..{m - 1}"
+                )
         return cls(
             id=data["id"],
             inputs=tuple(data["inputs"]),

@@ -460,6 +460,48 @@ class TestSolveEvalReport:
             "934a34a67d4751ac286c9e02175a6bc42a055b80f21786740f52f7e8a3408a6a"
         )
 
+    def test_budget_of_three_pinned(self, small_dataset, tmp_path, capsys):
+        # Three attempts per instance at max_in_flight 1: its cascade
+        # reversed, its cascade with a first rule over s_max (which is
+        # scored as the identity), then its true cascade. A one-rule
+        # cascade reversed is the true cascade, and its reply is repeated.
+        data = json.loads(small_dataset.read_text())
+        s_max = data["params"]["s_max"]
+
+        def reply(rules):
+            listing = json.dumps([f"replace('{s}', '{t}')" for s, t in rules])
+            return f"Here is the program sequence:\n\n```python\n{listing}\n```\n"
+
+        script = []
+        for inst in data["instances"]:
+            rules = [(p["find"], p["replace"]) for p in inst["programs"]]
+            source, target = rules[0]
+            overlong = [(source, (target + source * (s_max + 1))[: s_max + 1])]
+            script += [reply(rules[::-1]), reply(overlong + rules[1:]), reply(rules)]
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(script))
+        config = tmp_path / "solver.json"
+        config.write_text(json.dumps({"max_in_flight": 1, "sampling_budget": 3}))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve", "--dataset", str(small_dataset),
+            "--out", str(attempts), "--mock", str(mock),
+            "--config", str(config),
+        )
+        assert code == 0, err
+        out = tmp_path / "full.json"
+        code, _, err = run(
+            capsys, "report", "--dataset", str(small_dataset),
+            "--attempts", str(attempts), "--out", str(out),
+        )
+        assert code == 0, err
+        assert hashlib.sha256(attempts.read_bytes()).hexdigest() == (
+            "86591ea8119b33f7b98fed227ce59bc56f4b1d6f256f544f518b89cf1a9f443a"
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b7c854c096a8c6e460c12d2f860ceeb1db9fa365ec7149749ae3f01c176d1025"
+        )
+
     @staticmethod
     def _reorder_replies(perm_path):
         """Per reorder instance, in file order: a right order, a wrong
@@ -1105,6 +1147,32 @@ class TestDatasetKind:
             "stats", lambda d: d["instances"][-1].update(fb_edges=[[0, "B", True]])
         ),
         "fb-edge-pair": ("stats", lambda d: d["instances"][-1].update(fb_edges=[[0, 1]])),
+        "fb-edge-index-past-end": (
+            "stats", lambda d: d["instances"][0].update(fb_edges=[[0, "F", 9]])
+        ),
+        "fb-edge-index-past-end-perm": (
+            "perm", lambda d: d["instances"][0].update(fb_edges=[[0, "F", 9]])
+        ),
+        "fb-edge-index-negative": (
+            "stats", lambda d: d["instances"][0].update(fb_edges=[[-1, "F", 0]])
+        ),
+        "fb-edge-index-negative-perm": (
+            "perm", lambda d: d["instances"][0].update(fb_edges=[[-1, "F", 0]])
+        ),
+        "perm-unique-with-many-orders": (
+            "eval-reorder",
+            lambda d: next(r for r in d["instances"] if r["n_valid_orders"] != 1)
+            .update(is_unique=True),
+        ),
+        "perm-not-unique-with-one-order": (
+            "eval-reorder",
+            lambda d: next(r for r in d["instances"] if r["n_valid_orders"] == 1)
+            .update(is_unique=False),
+        ),
+        "perm-unique-without-a-count": (
+            "eval-reorder",
+            lambda d: d["instances"][0].update(n_valid_orders=None, is_unique=True),
+        ),
         "perm-id-int": ("eval-reorder", lambda d: d["instances"][0].update(id=5)),
         "perm-input-int": (
             "eval-reorder", lambda d: d["instances"][0]["inputs"].__setitem__(0, 7)

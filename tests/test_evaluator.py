@@ -207,16 +207,27 @@ _rule_text = st.builds(
 )
 
 
+# What ``\s`` matches around the tokens of a rule, ASCII and Unicode.
+_gap = st.text(alphabet=" \t\x0b\x1c\x85\xa0\u3000", max_size=2)
+# Mostly none: a prefixed literal is never read directly.
+_prefix = st.sampled_from(["", "", "", "", "", "r", "b"])
+
+
 @st.composite
 def _item(draw):
     """A quoted list element: mostly a replace call whose arguments use the
-    other quote kind, sometimes any quoted rule text or body."""
+    other quote kind (either pairing), with whitespace around every token
+    and now and then a prefix; sometimes any quoted rule text or body."""
     outer = draw(_quote)
     if draw(st.integers(0, 3)) == 0:
-        return outer + draw(st.one_of(_rule_text, _body)) + outer
+        return draw(_prefix) + outer + draw(st.one_of(_rule_text, _body)) + outer
     inner = "'" if outer == '"' else '"'
-    source, target = draw(_body), draw(_body)
-    return f"{outer}replace({inner}{source}{inner}, {inner}{target}{inner}){outer}"
+    source, target = (
+        draw(_prefix) + inner + draw(_body) + inner for _ in range(2)
+    )
+    g = [draw(_gap) for _ in range(7)]
+    return (f"{outer}{g[0]}replace{g[1]}({g[2]}{source}{g[3]},{g[4]}{target}"
+            f"{g[5]}){g[6]}{outer}")
 
 
 @st.composite
@@ -252,6 +263,8 @@ class TestPlainLiteralReading:
     @example("```python\n[\"replace('a','b')\" ,\n\t'replace(\"c\",\"d\")',]\n```")
     @example("```python\n[,]\n```")
     @example("```python\n[\"replace('a','b')\",,]\n```")
+    @example("```python\n['\x85replace\t(\xa0\"\"\x0b,\x1c\"b\" ) ']\n```")
+    @example("```python\n[\"replace(r'a', 'b')\", b\"replace('a', 'b')\"]\n```")
     @settings(max_examples=300)
     def test_list_extraction_matches_literal_eval(self, text):
         assert extract_pbe_prediction(text) == (
@@ -305,6 +318,23 @@ class TestNormalization:
         raw = (RewriteRule("ab", ""),)
         norm = normalize_cascade(raw, s_max=3, L_max=5, identity_symbol="a")
         assert norm.per_rule_valid == (True,)
+
+    @given(
+        st.lists(st.builds(RewriteRule, st.text("ab", max_size=5),
+                           st.text("ab", max_size=5)), max_size=8),
+        st.integers(1, 4), st.integers(1, 6),
+    )
+    @settings(max_examples=300)
+    def test_matches_truncate_then_substitute(self, raw, s_max, L_max):
+        def valid(rule):
+            return 1 <= len(rule.source) <= s_max and len(rule.target) <= s_max
+
+        norm = normalize_cascade(tuple(raw), s_max, L_max, "q")
+        identity = RewriteRule("q", "q")
+        assert norm.rules == tuple(
+            r if valid(r) else identity for r in raw[:L_max]
+        )
+        assert norm.per_rule_valid == tuple(valid(r) for r in raw)
 
     def test_validity_counted_pre_truncation(self):
         raw = tuple(RewriteRule("a", "b") for _ in range(5)) + (
