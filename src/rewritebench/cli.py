@@ -197,26 +197,46 @@ def _scored(args) -> tuple:
     From ``--attempts``: the selected attempt of each instance that has
     one, skipping a selection with no eval; an eval that the task's record
     type does not take (a missing or unknown key, a mistyped field), or a
-    mistyped field that selection reads in any attempt, is an error. From
-    ``--predictions`` (an object mapping instance id to response text, null
-    meaning no response): every instance, scored by the task; the file
-    must name at least one instance of the dataset.
+    mistyped field that selection reads in any attempt, is an error. The
+    log is read one line at a time, and only the best-ranked attempt of
+    each instance so far is kept, so memory grows with the instances, not
+    the budget. A corrupt line anywhere wins over the other errors, which
+    come in dataset order. From ``--predictions`` (an object mapping
+    instance id to response text, null meaning no response): every
+    instance, scored by the task; the file must name at least one
+    instance of the dataset.
     """
-    from .gateway import load_attempts, select_attempt
+    from .gateway import attempt_rank, iter_attempts
 
     instances, task = _load_task(args)
     ids = [task.instance_id(inst) for inst in instances]
     pairs = []
     if args.attempts is not None:
-        by_instance: dict[str, list] = {}
-        for log in load_attempts(args.attempts):
-            by_instance.setdefault(log.instance_id, []).append(log)
+        # Per dataset id: the best (rank, log) so far, or the TypeError of
+        # its first attempt that selection cannot rank. A log of an id
+        # outside the dataset is checked as it is read, and not ranked.
+        best: dict[str, Optional[tuple]] = dict.fromkeys(ids)
+        errors: dict[str, TypeError] = {}
+        for log in iter_attempts(args.attempts):
+            inst_id = log.instance_id
+            if inst_id not in best or inst_id in errors:
+                continue
+            try:
+                rank = attempt_rank(log, task)
+            except TypeError as exc:
+                errors[inst_id] = exc
+                continue
+            held = best[inst_id]
+            if held is None or rank > held[0]:
+                best[inst_id] = (rank, log)
         for inst, inst_id in zip(instances, ids):
             try:
-                chosen = select_attempt(by_instance.get(inst_id, ()), task)
-                if chosen is None or chosen.eval is None:
+                if inst_id in errors:
+                    raise errors[inst_id]
+                held = best[inst_id]
+                if held is None or held[1].eval is None:
                     continue
-                pairs.append((inst, task.record.from_dict(chosen.eval)))
+                pairs.append((inst, task.record.from_dict(held[1].eval)))
             except TypeError as exc:
                 raise CliError(
                     f"attempts file {args.attempts} holds a malformed attempt "

@@ -16,7 +16,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 from . import evaluator
 from .core import FINITE_JSON, check_types
@@ -111,10 +111,11 @@ Your ordering must be a permutation of [0, 1, ..., {n_minus_1}].
 """
 
 
-# The PBE template's text around its four fields, split once so that a
-# render is one join; the fields come in the order render_pbe_prompt fills
-# them, and the template holds no other braces.
+# Each template's text around its fields, split once so that a render is
+# one join; the fields come in the order the render fills them, and the
+# templates hold no other braces.
 _PBE_TEXT = tuple(re.split(r"\{\w+\}", PBE_PROMPT_TEMPLATE))
+_REORDER_TEXT = tuple(re.split(r"\{\w+\}", REORDER_PROMPT_TEMPLATE))
 
 
 def _string_list(items: Sequence[str]) -> str:
@@ -136,12 +137,17 @@ def render_reorder_prompt(instance: ReorderInstance) -> str:
     programs = "\n".join(
         f"{idx}: {rule.render()}" for idx, rule in enumerate(instance.scrambled)
     )
-    return REORDER_PROMPT_TEMPLATE.format(
-        inputs=_string_list(instance.inputs),
-        outputs=_string_list(instance.outputs),
-        n_minus_1=len(instance.scrambled) - 1,
-        programs_formatted=programs,
-    )
+    last = str(len(instance.scrambled) - 1)
+    # Fields in template order: inputs, outputs, n_minus_1,
+    # programs_formatted, then n_minus_1 twice more.
+    (before_inputs, before_outputs, before_last, before_programs,
+     before_last_2, before_last_3, tail) = _REORDER_TEXT
+    return "".join((
+        before_inputs, _string_list(instance.inputs),
+        before_outputs, _string_list(instance.outputs),
+        before_last, last, before_programs, programs,
+        before_last_2, last, before_last_3, last, tail,
+    ))
 
 
 @dataclass(frozen=True)
@@ -254,8 +260,12 @@ class HttpChatBackend:
             raise ValueError(f"{invalid}: {exc}") from exc
         except (OSError, http.client.HTTPException) as exc:
             raise TransientBackendError(str(exc)) from exc
+        # A body that is not finite JSON is no JSON: a NaN or an infinity
+        # in it would reach the attempt log, which then does not load.
         try:
-            payload = json.loads(raw)
+            payload = FINITE_JSON.decode(
+                raw.decode(json.detect_encoding(raw), "surrogatepass")
+            )
         except ValueError:
             payload = {}
         return BackendResult(
@@ -537,28 +547,33 @@ def select_attempt(logs: Sequence[AttemptLog], task: Task) -> Optional[AttemptLo
     The passing attempt with the lowest index wins. Without one, the
     attempt that ``task.fail_rank`` ranks highest wins, ties going to the
     lowest index. The result does not depend on the order of ``logs``.
-    Every log's ``passed`` and rank are checked: a value of the wrong type
-    raises TypeError naming the attempt and the field.
+    Every log is ranked by ``attempt_rank``, in order, so the first log
+    of a wrong type raises its TypeError; the first of the highest rank
+    wins.
+    """
+    return max(logs, key=lambda log: attempt_rank(log, task), default=None)
+
+
+def attempt_rank(log: AttemptLog, task: Task) -> tuple:
+    """The key that the selection rule maximizes over an instance's logs.
+
+    Passing beats failing; then the lowest index among passes, the best
+    ``task.fail_rank`` among failures, and the lowest index among equals.
+    A ``passed`` or a rank of the wrong type raises TypeError naming the
+    attempt and the field.
     """
     name, types, what = task.rank_type
-    best = best_rank = None
-    for log in logs:
-        passed = (log.eval or {}).get("passed", False)
-        score = task.fail_rank(log)
-        if type(passed) is not bool:
-            raise TypeError(
-                f"attempt {log.attempt_index}: passed {passed!r} is not a boolean"
-            )
-        if type(score) not in types:
-            raise TypeError(
-                f"attempt {log.attempt_index}: {name} {score!r} is not {what}"
-            )
-        # Passing beats failing; then the lowest index among passes, the
-        # best score among failures, and the lowest index among equals.
-        rank = (passed, 0 if passed else score, -log.attempt_index)
-        if best is None or rank > best_rank:
-            best, best_rank = log, rank
-    return best
+    passed = (log.eval or {}).get("passed", False)
+    score = task.fail_rank(log)
+    if type(passed) is not bool:
+        raise TypeError(
+            f"attempt {log.attempt_index}: passed {passed!r} is not a boolean"
+        )
+    if type(score) not in types:
+        raise TypeError(
+            f"attempt {log.attempt_index}: {name} {score!r} is not {what}"
+        )
+    return (passed, 0 if passed else score, -log.attempt_index)
 
 
 def solve_dataset(
@@ -635,14 +650,24 @@ def persist_attempts(logs: Sequence[AttemptLog], path: str) -> None:
             fh.write(encode(vars(log)) + "\n")
 
 
-def load_attempts(path: str) -> list[AttemptLog]:
-    logs: list[AttemptLog] = []
+def iter_attempts(path: str) -> Iterator[AttemptLog]:
+    """The logs of an attempt log file, one line read at a time, blank
+    lines skipped. A line that is not a JSON object of ``AttemptLog``'s
+    fields and types raises ValueError, ``corrupt attempt log at line N``,
+    when it is reached."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                logs.append(AttemptLog.from_dict(FINITE_JSON.decode(line)))
+                log = AttemptLog.from_dict(FINITE_JSON.decode(line))
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"corrupt attempt log at line {lineno}: {exc}")
-    return logs
+            yield log
+
+
+def load_attempts(path: str) -> list[AttemptLog]:
+    """Every log of an attempt log file, in file order. Replay does not
+    call this: it streams ``iter_attempts`` and keeps one log per
+    instance."""
+    return list(iter_attempts(path))

@@ -8,9 +8,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dataclasses import fields
 
@@ -20,6 +22,7 @@ from rewritebench import core, gateway
 from rewritebench.cli import dispatch
 from rewritebench.core import RewriteRule, apply_rule, write_json
 from rewritebench.gateway import SolverConfig
+from rewritebench.permuter import load_perm_dataset
 from rewritebench.proposer import Dataset, GeneratorParams, lite_params
 from rewritebench.relations import default_oracle_bound
 
@@ -1022,6 +1025,196 @@ class TestSolveEvalReport:
         assert metrics["pass_at_1" if command == "eval" else "acc"] == 0.0
 
 
+@pytest.fixture(scope="module")
+def replay_sets(tmp_path_factory):
+    """A 64-instance PBE dataset and its perm file, each with its task and
+    instances, and with four scored replies per instance: a (text, eval,
+    extracted) triple for the right answer, two wrong ones and no answer."""
+    root = tmp_path_factory.mktemp("replay")
+    pbe, perm = str(root / "ds.json"), str(root / "perm.json")
+    assert dispatch(["gen", "--out", pbe, "--seed", "3", "--preset", "lite",
+                     "--size", "64", "--tau", "5000"]) == 0
+    assert dispatch(["perm", "--dataset", pbe, "--out", perm]) == 0
+    dataset = Dataset.load(pbe)
+    p = dataset.params
+    pbe_task = gateway.PbeTask(p.s_max, p.L_max, p.alphabet.symbols[0])
+
+    def block(rules):
+        listing = ", ".join(f"'{rule.render()}'" for rule in rules)
+        return f"```python\n[{listing}]\n```"
+
+    def order(indices):
+        return f"```json\n{list(indices)}\n```"
+
+    sets = {}
+    for kind, path, task, instances, texts in (
+        ("pbe", pbe, pbe_task, dataset.instances, lambda inst: [
+            block(inst.cascade), block(inst.cascade[::-1]),
+            block(inst.cascade[:1]), "no code here"]),
+        ("reorder", perm, gateway.ReorderTask(), load_perm_dataset(perm),
+         lambda inst: [
+             order(inst.gt_order), order(range(len(inst.scrambled))),
+             order(reversed(range(len(inst.scrambled)))), "no answer"]),
+    ):
+        replies = [
+            [(text, *task.score(inst, text, 0)) for text in texts(inst)]
+            for inst in instances
+        ]
+        passes = [record.passed for inst_replies in replies
+                  for _, record, _ in inst_replies]
+        assert any(passes) and not all(passes)
+        sets[kind] = (path, task, instances, replies)
+    return sets
+
+
+def _attempt(inst_id, reply, k, no_eval=False):
+    """The log of attempt ``k`` of ``inst_id`` holding a scored reply."""
+    text, record, extracted = reply
+    evaluation = None if no_eval else dict(record.to_dict(), attempt_index=k)
+    return gateway.AttemptLog(inst_id, k, "h", text, "stop", {}, extracted,
+                              evaluation)
+
+
+# Lines of an attempt log: (instance slot, reply, attempt index, no eval,
+# odd), where slots 0-3 are the first four instances of the dataset and
+# 4-5 ids that are not in it; then some lines again, and all shuffled.
+_LINES = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 5),
+              st.sampled_from([False, False, False, True]), st.booleans()),
+    min_size=1, max_size=24,
+)
+
+
+@st.composite
+def _shuffled_lines(draw):
+    lines = draw(_LINES)
+    again = draw(st.lists(st.sampled_from(lines), max_size=6))
+    return draw(st.permutations(lines + again))
+
+
+def _drawn_attempt(ids, replies, line):
+    """The log of a drawn line. An odd eval of a dataset instance shifts
+    the eval's own attempt index, which selection does not read but
+    ``report`` prints, so that attempts of equal rank can differ; an odd
+    eval of another id has a mistyped ``passed``, which it is not ranked
+    by."""
+    slot, reply, k, no_eval, odd = line
+    log = _attempt(ids[slot] if slot < 4 else f"ghost-{slot}",
+                   replies[slot % 4][reply], k, no_eval)
+    if odd and log.eval is not None:
+        if slot < 4:
+            log.eval["attempt_index"] += 10
+        else:
+            log.eval["passed"] = "false"
+    return log
+
+
+class TestStreamedReplay:
+    """Replay reads the attempt log one line at a time and keeps the best
+    attempt of each instance; these pin it to loading the whole log,
+    grouping it by instance and running ``select_attempt`` on each group."""
+
+    @pytest.mark.parametrize("command, kind", [
+        ("eval", "pbe"), ("report", "pbe"), ("eval-reorder", "reorder"),
+    ])
+    @settings(max_examples=80, deadline=None)
+    @given(lines=_shuffled_lines())
+    def test_picks_what_grouping_picks(self, replay_sets, command, kind, lines):
+        dataset, task, instances, replies = replay_sets[kind]
+        ids = [task.instance_id(inst) for inst in instances]
+        logs = [_drawn_attempt(ids, replies, line) for line in lines]
+        with tempfile.TemporaryDirectory() as tmp:
+            full, chosen = os.path.join(tmp, "full.jsonl"), os.path.join(tmp, "chosen.jsonl")
+            gateway.persist_attempts(logs, full)
+            groups = {}
+            for log in gateway.load_attempts(full):
+                groups.setdefault(log.instance_id, []).append(log)
+            # One log per instance: the one grouping selects.
+            selected = [gateway.select_attempt(groups.get(i, ()), task) for i in ids]
+            gateway.persist_attempts([s for s in selected if s is not None], chosen)
+            outputs = []
+            for attempts in (full, chosen):
+                out = os.path.join(tmp, "out.json")
+                code = dispatch([command, "--dataset", dataset, "--attempts",
+                                 attempts, "--out", out])
+                outputs.append((code, pathlib.Path(out).read_bytes()
+                                if os.path.exists(out) else None))
+                if os.path.exists(out):
+                    os.remove(out)
+        assert outputs[0] == outputs[1]
+
+    def _write(self, path, logs, tail=""):
+        path.write_text("".join(json.dumps(lg.to_dict()) + "\n" for lg in logs) + tail)
+
+    def _mistyped(self, inst_id, reply, k):
+        log = _attempt(inst_id, reply, k)
+        log.eval["passed"] = "false"
+        return log
+
+    def test_selection_errors_come_in_dataset_order(
+        self, replay_sets, tmp_path, capsys
+    ):
+        dataset, task, instances, replies = replay_sets["pbe"]
+        first, second = (task.instance_id(inst) for inst in instances[:2])
+        attempts = tmp_path / "att.jsonl"
+        self._write(attempts, [
+            self._mistyped(second, replies[1][0], 0),
+            _attempt(first, replies[0][3], 0),
+            self._mistyped(first, replies[0][0], 1),
+            self._mistyped(first, replies[0][0], 2),
+        ])
+        code, out, err = run(capsys, "eval", "--dataset", dataset,
+                             "--attempts", str(attempts))
+        assert (code, out) == (1, "")
+        assert (f"attempts file {attempts} holds a malformed attempt for "
+                f"{first!r}: attempt 1: passed 'false' is not a boolean") in err
+        assert second not in err
+
+    def test_corrupt_line_wins_over_an_earlier_selection_error(
+        self, replay_sets, tmp_path, capsys
+    ):
+        dataset, task, instances, replies = replay_sets["pbe"]
+        first, second = (task.instance_id(inst) for inst in instances[:2])
+        attempts = tmp_path / "att.jsonl"
+        self._write(attempts, [
+            self._mistyped(first, replies[0][0], 0),
+            _attempt(second, replies[1][0], 0),
+        ], tail='{"truncated": \n')
+        code, out, err = run(capsys, "eval", "--dataset", dataset,
+                             "--attempts", str(attempts))
+        assert (code, out) == (1, "")
+        assert "corrupt attempt log at line 3" in err
+        assert "malformed attempt" not in err
+
+    def test_memory_does_not_grow_with_the_budget(self, replay_sets, tmp_path):
+        """A budget-32 log is a budget-2 log's lines repeated with shifted
+        attempt indices; ``report`` on it must peak about as high as on the
+        budget-2 log."""
+        dataset, task, instances, replies = replay_sets["pbe"]
+        ids = [task.instance_id(inst) for inst in instances]
+        short, long = tmp_path / "k2.jsonl", tmp_path / "k32.jsonl"
+        for path, budget in ((short, 2), (long, 32)):
+            # Attempt k of each instance holds its wrong reply 2 + k % 2.
+            self._write(path, [_attempt(i, inst_replies[2 + k % 2], k)
+                               for i, inst_replies in zip(ids, replies)
+                               for k in range(budget)])
+        out = str(tmp_path / "report.json")
+        argv = ["report", "--dataset", dataset, "--out", out, "--attempts"]
+        assert dispatch(argv + [str(short)]) == 0  # imports and caches
+        peaks, reports = [], []
+        for path in (short, long):
+            tracemalloc.start()
+            try:
+                assert dispatch(argv + [str(path)]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            reports.append(pathlib.Path(out).read_bytes())
+        assert reports[0] == reports[1]
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+
 class TestSolveOverHttp:
     """``solve`` through the real HTTP backend against a loopback server."""
 
@@ -1068,6 +1261,26 @@ class TestSolveOverHttp:
         text = attempts.read_text()
         assert "transport_error" in text
         assert key not in text + out + err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+    def test_reply_with_a_non_finite_number_logs_a_loadable_attempt(
+        self, loopback, tiny_dataset, tmp_path, capsys, literal
+    ):
+        """A 200 whose usage holds a number that JSON does not have is no
+        JSON reply, so the attempt is a transport error that eval loads."""
+        _, body, _ = chat_reply("no block here")
+        body = body[:-1] + b', "usage": {"total_tokens": ' + literal.encode() + b"}}"
+        loopback.script([(200, body, {})])
+        attempts = tmp_path / "att.jsonl"
+        code, out, err = self._solve(capsys, tiny_dataset, attempts, loopback.url)
+        assert code == 0, err
+        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
+        assert [lg["finish_reason"] for lg in logs] == ["transport_error"] * 4
+        assert [lg["token_usage"] for lg in logs] == [{}] * 4
+        code, out, err = run(capsys, "eval", "--dataset", str(tiny_dataset),
+                             "--attempts", str(attempts))
+        assert code == 0, err
+        assert json.loads(out)["metrics"]["count"] == 4
 
     def test_endpoint_that_is_not_http_exits_1(self, tiny_dataset, tmp_path, capsys):
         attempts = tmp_path / "att.jsonl"

@@ -306,6 +306,17 @@ class TestHttpBackend:
             self._send(loopback, [(200, b"not json", {})])
         assert len(loopback.requests) == 1
 
+    @pytest.mark.parametrize("number", [b"NaN", b"-Infinity", b"1e400"])
+    def test_body_with_a_non_finite_number_is_not_json(self, loopback, number):
+        loopback.script([(200, b'{"usage": {"total_tokens": ' + number + b"}}", {})])
+        result = HttpChatBackend().send(SolverConfig(endpoint_url=loopback.url), {})
+        assert result.payload == {}
+
+    def test_body_is_decoded_in_the_encoding_json_detects(self, loopback):
+        loopback.script([(200, '{"usage": {"total_tokens": 1.5}}'.encode("utf-16"), {})])
+        result = HttpChatBackend().send(SolverConfig(endpoint_url=loopback.url), {})
+        assert result.payload == {"usage": {"total_tokens": 1.5}}
+
     def test_refused_connection_exhausts_retries(self, monkeypatch):
         monkeypatch.setenv("no_proxy", "*")
         config = SolverConfig(endpoint_url=closed_port_url(), retry_count=1)
