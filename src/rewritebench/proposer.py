@@ -295,7 +295,10 @@ def sample_candidate(
     """One full sampling iteration: inputs, a target-length cascade pruned to
     its effective rules, and classification. None encodes rejection; with
     ``allowed``, that includes a cascade whose category can no longer end in
-    it (see ``category_of``). The random draws do not depend on ``allowed``.
+    it (see ``category_of``). That is reachability, not membership: a
+    category outside ``allowed`` is still returned when its bits fit inside
+    an allowed one (``'0000'`` always does), and ``generate_dataset``'s
+    quota test rejects it. The random draws do not depend on ``allowed``.
 
     The instance has an empty ``id`` and no ``fb_edges``: most candidates
     are rejected on their category alone, so ``generate_dataset`` fills both
@@ -439,12 +442,18 @@ def kl_from_counts(counts: Sequence[int], smoothing: float = 1.0) -> float:
     empirical one.
 
     Add-``smoothing`` is applied to every bin before normalization, so empty
-    bins contribute a finite penalty and exactly-uniform counts give 0.
+    bins contribute a finite penalty and exactly-uniform counts give 0. With
+    no smoothing an empty bin has empirical mass 0 where the uniform one has
+    mass, so the divergence is ``math.inf``.
     """
     if not counts:
         raise ValueError("need at least one bin")
+    if smoothing < 0:
+        raise ValueError(f"smoothing must be non-negative, got {smoothing!r}")
     bins = len(counts)
     smoothed = [c + smoothing for c in counts]
+    if 0 in smoothed:
+        return math.inf
     total = sum(smoothed)
     u = 1.0 / bins
     kl = sum(u * math.log(u / (q / total)) for q in smoothed)

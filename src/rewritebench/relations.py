@@ -56,7 +56,8 @@ def _creates_sites(s_i: str, t_i: str, s_j: str) -> bool:
     ``s_j``, when ``s_j`` lies in ``t_i`` but not in ``s_i``, or when a
     prefix (suffix) of ``t_i`` that does not occur in ``s_i`` ends (starts)
     ``s_j``. A prefix as long as ``t_i`` or ``s_j`` is one of the first two
-    cases, so only shorter ones are tried.
+    cases, so only shorter ones are tried, and a one-symbol side has no
+    shorter prefix to try.
     """
     if not t_i:
         return len(s_j) > 1
@@ -64,12 +65,13 @@ def _creates_sites(s_i: str, t_i: str, s_j: str) -> bool:
         return False
     if t_i in s_j or (s_j in t_i and s_j not in s_i):
         return True
-    for k in range(1, min(len(t_i), len(s_j))):
-        head, tail = t_i[:k], t_i[-k:]
-        if (s_j.endswith(head) and head not in s_i) or (
-            s_j.startswith(tail) and tail not in s_i
-        ):
-            return True
+    if len(t_i) > 1 and len(s_j) > 1:
+        for k in range(1, min(len(t_i), len(s_j))):
+            head, tail = t_i[:k], t_i[-k:]
+            if (s_j.endswith(head) and head not in s_i) or (
+                s_j.startswith(tail) and tail not in s_i
+            ):
+                return True
     return False
 
 
@@ -140,7 +142,11 @@ def category_of(
 
     With ``allowed``, a collection of categories, returns None as
     soon as the category can no longer end in it: bits are only ever set,
-    so the reachable categories are those holding every bit set so far.
+    so the reachable categories are those holding every bit set so far,
+    and None means that no allowed category holds them all. That is
+    reachability, not membership: a category outside ``allowed`` whose
+    bits fit inside an allowed one is returned, and ``'0000'`` always is,
+    so a caller that needs membership tests it on the answer.
     The reachability table is cached by the collection's contents, so the
     answer follows them; a frozenset is used without a copy.
     """

@@ -136,6 +136,35 @@ def test_criteria_01_and_02_conflict(pair_corpus):
                for p, q in conflicts)
 
 
+def test_feeding_definition_prices(pair_corpus):
+    """The figures README quotes for each definition of feeding, on
+    criterion 1's pairs. The present classifier has 299 / 385 / 301 / 0
+    discrepancies against the oracles (and criterion 2 passes). Taking the
+    oracles as the definition breaks criterion 2 on 383 pairs, 231 of them
+    with their reversed twin in the corpus; taking ``bleeds(p, q) :=
+    oracle_feeds(p.reversed(), q)`` leaves those 383 pairs as criterion-1
+    bleeding discrepancies instead."""
+    counts = dict(f_unsound=0, f_incomplete=0, b_unsound=0, b_incomplete=0)
+    conflicts = []
+    for p, q in pair_corpus:
+        bound = default_oracle_bound(p, q)
+        fed = oracle_feeds(p, q, bound) is not None
+        bled = oracle_bleeds(p, q, bound) is not None
+        counts["f_unsound"] += fed and not feeds(p, q)
+        counts["f_incomplete"] += feeds(p, q) and not fed
+        counts["b_unsound"] += bled and not bleeds(p, q)
+        counts["b_incomplete"] += bleeds(p, q) and not bled
+        if bled != (oracle_feeds(p.reversed(), q, bound) is not None):
+            conflicts.append((p, q))
+    assert counts == dict(
+        f_unsound=299, f_incomplete=385, b_unsound=301, b_incomplete=0
+    )
+    assert sum(counts.values()) == 985
+    corpus = set(pair_corpus)
+    assert len(conflicts) == 383
+    assert sum((p.reversed(), q) in corpus for p, q in conflicts) == 231
+
+
 def test_criterion_03_reversal_duality():
     rng = random.Random(1)
     violations = 0

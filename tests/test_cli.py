@@ -24,7 +24,12 @@ from rewritebench.core import RewriteRule, apply_rule, write_json
 from rewritebench.gateway import SolverConfig
 from rewritebench.permuter import load_perm_dataset
 from rewritebench.proposer import Dataset, GeneratorParams, lite_params
-from rewritebench.relations import default_oracle_bound
+from rewritebench.relations import (
+    ALL_CATEGORIES,
+    default_oracle_bound,
+    oracle_bleeds,
+    oracle_feeds,
+)
 
 
 def run(capsys, *argv):
@@ -259,6 +264,28 @@ class TestPermAndStats:
         assert path.read_bytes() == lite_seed_0["dataset"].read_bytes()
         assert path.stat().st_size > 700_000
         assert peak < 256 * 1024, peak
+
+    def test_oracle_feeding_moves_236_lite_seed_0_categories(self, lite_seed_0):
+        # The price README quotes for taking the witness oracles as the
+        # definition of feeding and bleeding: this many instances of the
+        # lite seed 0 dataset would change category.
+        def oracle_category(cascade):
+            mask = 0
+            for i, p in enumerate(cascade):
+                for j, q in enumerate(cascade):
+                    if i != j:
+                        bound = default_oracle_bound(p, q)
+                        feed, bleed = (8, 4) if i < j else (2, 1)
+                        if oracle_feeds(p, q, bound) is not None:
+                            mask |= feed
+                        if oracle_bleeds(p, q, bound) is not None:
+                            mask |= bleed
+            return ALL_CATEGORIES[mask]
+
+        instances = Dataset.load(str(lite_seed_0["dataset"])).instances
+        assert len(instances) == 1008
+        moved = sum(oracle_category(i.cascade) != i.category for i in instances)
+        assert moved == 236
 
 
 @pytest.fixture(scope="module")

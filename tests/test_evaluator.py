@@ -373,6 +373,14 @@ class TestScoreAttempt:
         assert record.pred_category == category
         assert record.complexity == complexity
 
+    def test_empty_cascade_has_valid_rate_zero(self):
+        # An empty cascade holds no valid rule, so its valid rate is 0, not 1.
+        assert normalize_cascade((), 3, 5, "a").valid_fraction == 0.0
+        inst = make_instance([("a", "b")], ["ab", "ba"])
+        record, found = PbeTask().score(inst, "```python\n[]\n```", 0)
+        assert found
+        assert record.valid_rate_contrib == 0.0
+
 
 _rules = st.lists(
     st.tuples(st.text("abc", min_size=1, max_size=3), st.text("abc", max_size=3)),

@@ -458,6 +458,15 @@ class TestKl:
     def test_uniform_counts_give_zero(self):
         assert kl_from_counts([5] * 16) == 0.0
 
+    def test_unsmoothed_empty_bin_is_infinite(self):
+        assert kl_from_counts([2, 0], smoothing=0.0) == math.inf
+        assert kl_from_counts([1, 1], smoothing=0.0) == 0.0
+
+    @pytest.mark.parametrize("smoothing", [-1.0, -0.5, -3.0])
+    def test_negative_smoothing_rejected(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing"):
+            kl_from_counts([2, 0], smoothing=smoothing)
+
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=16))
     def test_non_negative(self, counts):
         assert kl_from_counts(counts) >= 0.0
