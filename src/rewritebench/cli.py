@@ -196,8 +196,9 @@ def _scored(args) -> tuple:
 
     From ``--attempts``: the selected attempt of each instance that has
     one, skipping a selection with no eval; an eval that the task's record
-    type does not take (a missing or unknown key, a mistyped field), or a
-    mistyped field that selection reads in any attempt, is an error. The
+    type does not take (a missing or unknown key, a mistyped field, a PBE
+    ``pred_category`` that is no category), or a mistyped field that
+    selection reads in any attempt, is an error. The
     log is read one line at a time, and only the best-ranked attempt of
     each instance so far is kept, so memory grows with the instances, not
     the budget. A corrupt line anywhere wins over the other errors, which
@@ -237,7 +238,7 @@ def _scored(args) -> tuple:
                 if held is None or held[1].eval is None:
                     continue
                 pairs.append((inst, task.record.from_dict(held[1].eval)))
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise CliError(
                     f"attempts file {args.attempts} holds a malformed attempt "
                     f"for {inst_id!r}: {exc}"

@@ -245,7 +245,7 @@ class Alphabet:
 LITE_ALPHABET = Alphabet.from_string("abcdefghijkuvwxyz")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewriteRule:
     """One find-and-replace program: every occurrence of ``source`` becomes
     ``target``.
@@ -274,12 +274,18 @@ def encode_rules(rules: Sequence[RewriteRule]) -> list[dict]:
 
 def decode_rules(items: Sequence[dict]) -> Cascade:
     """The inverse of ``encode_rules``; TypeError if a find or replace is
-    not a string."""
+    not a string. Each rule's find is read and checked before its replace,
+    and rule by rule, so the first bad key of the list is the one raised."""
+    rules = []
     for p in items:
-        for key in ("find", "replace"):
-            if type(p[key]) is not str:
-                raise TypeError(f"rule {key} {p[key]!r} is not a string")
-    return tuple(RewriteRule(p["find"], p["replace"]) for p in items)
+        source = p["find"]
+        if type(source) is not str:
+            raise TypeError(f"rule find {source!r} is not a string")
+        target = p["replace"]
+        if type(target) is not str:
+            raise TypeError(f"rule replace {target!r} is not a string")
+        rules.append(RewriteRule(source, target))
+    return tuple(rules)
 
 
 def apply_rule(rule: RewriteRule, s: str) -> str:

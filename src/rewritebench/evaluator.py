@@ -27,9 +27,11 @@ from .core import (
 )
 from .permuter import ReorderInstance
 from .proposer import PbeInstance
-from .relations import category_of
+from .relations import ALL_CATEGORIES, category_of
 
 INVALID_CATEGORY = "INVALID"
+# What an ``EvalRecord`` may hold as its ``pred_category``.
+_PRED_CATEGORIES = frozenset((*ALL_CATEGORIES, INVALID_CATEGORY))
 
 # A fenced block: opening fence with optional language tag, body, closing
 # fence. Non-greedy so consecutive blocks split correctly.
@@ -195,8 +197,17 @@ class EvalRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalRecord":
-        """The record a ``to_dict`` dict holds; TypeError on a mistyped field."""
+        """The record a ``to_dict`` dict holds; TypeError on a mistyped
+        field, ValueError on a ``pred_category`` that is neither a
+        category string nor INVALID."""
         check_types(cls, data)
+        # A missing key is left to ``cls`` to reject.
+        category = data.get("pred_category", INVALID_CATEGORY)
+        if category not in _PRED_CATEGORIES:
+            raise ValueError(
+                f"pred_category {category!r} is not a category string "
+                f"or {INVALID_CATEGORY!r}"
+            )
         return cls(**data)
 
 

@@ -174,6 +174,8 @@ class SolverConfig:
             raise ValueError("temperature must be non-negative")
         if not (0 < self.top_p <= 1):
             raise ValueError("top_p must lie in (0, 1]")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be at least 1")
         if self.timeout_ms < 1:
             raise ValueError("timeout_ms must be at least 1")
         if self.retry_count < 0:

@@ -30,7 +30,7 @@ class CapacityError(ValueError):
     """Raised when the number of orders to count would exceed the cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReorderInstance:
     """A scrambled cascade together with the original I/O pair.
 
@@ -142,13 +142,14 @@ def count_valid_orders(instance: ReorderInstance, cap: int = 40320) -> int:
 
     Exact, and |scrambled|! must not exceed ``cap``. Counts over subsets
     rather than permutations: the state is (rules not yet applied, current
-    vector), and one sweep per rule carries the number of orders reaching
-    each state to the states one rule on, so orders with a common prefix,
-    or prefixes that reach the same vector with the same rules left, are
-    worked out once. Always at least 1 because gt_order is valid by
-    construction. A rule with an empty find pattern raises
-    ``EmptySourceError``, but only once m! fits under ``cap``. The vector
-    is held as one string, joined by ``_joined``.
+    vector), and one sweep per rule but the last carries the number of
+    orders reaching each state to the states one rule on, so orders with a
+    common prefix, or prefixes that reach the same vector with the same
+    rules left, are worked out once. Each state's last rule is applied and
+    its result compared with the outputs in place. Always at least 1
+    because gt_order is valid by construction. A rule with an empty find
+    pattern raises ``EmptySourceError``, but only once m! fits under
+    ``cap``. The vector is held as one string, joined by ``_joined``.
     """
     rules = instance.scrambled
     m = len(rules)
@@ -159,10 +160,12 @@ def count_valid_orders(instance: ReorderInstance, cap: int = 40320) -> int:
     if any(not rule.source for rule in rules):
         raise EmptySourceError("cannot apply a rule with an empty find pattern")
     inputs, outputs = _joined(instance, rules)
+    if not m:
+        return int(inputs == outputs)
     steps = [(1 << i, rule.source, rule.target) for i, rule in enumerate(rules)]
     # ``left`` has bit i set while rule i is still to be applied.
     states = {((1 << m) - 1, inputs): 1}
-    for _ in range(m):
+    for _ in range(m - 1):
         reached: dict[tuple[int, str], int] = {}
         for (left, text), count in states.items():
             for bit, source, target in steps:
@@ -170,7 +173,12 @@ def count_valid_orders(instance: ReorderInstance, cap: int = 40320) -> int:
                     key = (left ^ bit, text.replace(source, target))
                     reached[key] = reached.get(key, 0) + count
         states = reached
-    return sum(count for (_, text), count in states.items() if text == outputs)
+    # Each state now has one rule left: the one of bit ``left``.
+    last = {bit: (source, target) for bit, source, target in steps}
+    return sum(
+        count for (left, text), count in states.items()
+        if text.replace(*last[left]) == outputs
+    )
 
 
 def build_perm_dataset(

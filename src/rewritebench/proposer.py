@@ -8,9 +8,11 @@ budget is exhausted, after which the quota constraints are relaxed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field, fields, replace
+from itertools import starmap
 from typing import Collection, Optional, Sequence
 
 from .core import (
@@ -116,7 +118,14 @@ def lite_params(seed: int, D: int = 1008, tau: int = 100_000) -> GeneratorParams
     )
 
 
-@dataclass(frozen=True)
+# The edge of an ``[i, kind, j]`` row, one frozen object per triple shared
+# by every instance that loads it: a lite dataset's 3,000-odd rows hold at
+# most 40 triples. The table is bounded, and ``RelationEdge`` rejects a bad
+# row each time it is loaded, since a call that raises stores nothing.
+_shared_edge = functools.lru_cache(maxsize=256)(RelationEdge)
+
+
+@dataclass(frozen=True, slots=True)
 class PbeInstance:
     """One generated problem: inputs, the effective cascade that produced the
     outputs, and its relation metadata."""
@@ -170,7 +179,7 @@ class PbeInstance:
             cascade=decode_rules(data["programs"]),
             outputs=tuple(data["outputs"]),
             category=category,
-            fb_edges=tuple(RelationEdge(i, k, j) for i, k, j in data["fb_edges"]),
+            fb_edges=tuple(starmap(_shared_edge, data["fb_edges"])),
         )
 
 

@@ -20,7 +20,7 @@ FEEDING = "F"
 BLEEDING = "B"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationEdge:
     """A stored feeding or bleeding edge between rule positions.
 

@@ -26,6 +26,7 @@ from rewritebench.permuter import load_perm_dataset
 from rewritebench.proposer import Dataset, GeneratorParams, lite_params
 from rewritebench.relations import (
     ALL_CATEGORIES,
+    classify_bfcc,
     default_oracle_bound,
     oracle_bleeds,
     oracle_feeds,
@@ -264,6 +265,16 @@ class TestPermAndStats:
         assert path.read_bytes() == lite_seed_0["dataset"].read_bytes()
         assert path.stat().st_size > 700_000
         assert peak < 256 * 1024, peak
+
+    def test_loaded_edges_are_the_classified_edges(self, lite_seed_0):
+        """Every loaded ``fb_edges`` is what ``classify_bfcc`` gives its
+        cascade, and each (i, kind, j) triple is one object however many
+        instances hold it."""
+        instances = Dataset.load(str(lite_seed_0["dataset"])).instances
+        for inst in instances:
+            assert inst.fb_edges == tuple(classify_bfcc(inst.cascade)[1])
+        edges = {id(e): e for inst in instances for e in inst.fb_edges}
+        assert len(edges) == len(set(edges.values())) <= 40
 
     def test_oracle_feeding_moves_236_lite_seed_0_categories(self, lite_seed_0):
         # The price README quotes for taking the witness oracles as the
@@ -835,6 +846,8 @@ class TestSolveEvalReport:
     @pytest.mark.parametrize("field, value", [
         ("edit_sim", "x"), ("valid_rate_contrib", True), ("pred_length", [1]),
         ("complexity", 1.5), ("passed", 1), ("pred_category", None),
+        ("pred_category", "11"), ("pred_category", "1x00"),
+        ("pred_category", ""),
     ])
     def test_eval_field_of_the_wrong_type_exits_1(
         self, datasets, tmp_path, capsys, command, field, value
@@ -973,6 +986,7 @@ class TestSolveEvalReport:
 
     @pytest.mark.parametrize("setting", [
         {"retry_count": -1}, {"timeout_ms": 0},
+        {"max_tokens": 0}, {"max_tokens": -5},
         {"retry_count": 1.5}, {"max_in_flight": 1.5}, {"sampling_budget": 1.5},
         {"max_in_flight": True}, {"early_stop": "false"}, {"temperature": True},
         {"reasoning_effort": 5}, {"api_key_env": 7},
@@ -1453,6 +1467,32 @@ class TestDatasetKind:
         assert f"{command} needs {expected}" in err
         assert other in err
         assert not files["OUT"].exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, "X", 1]], "edge kind must be 'F' or 'B', got 'X'"),
+        ([[1, "F", 1]], "self-edges are not allowed"),
+        ([[0, "F", 1], [1, "X", 0]], "got 'X'"),
+        ([[0, "X", 1], [0, "F", 9]], "names a rule outside"),
+    ], ids=["kind-X", "self-edge", "kind-X-after-a-good-row", "range-first"])
+    def test_bad_edge_row_exits_1_after_a_valid_load(
+        self, small_dataset, tmp_path, capsys, rows, message
+    ):
+        """Loading a valid dataset first leaves no edge behind that a bad
+        row could be served; every row's range is checked before any edge
+        is built."""
+        assert run(capsys, "stats", "--dataset", str(small_dataset))[0] == 0
+        data = json.loads(small_dataset.read_text())
+        next(
+            inst for inst in data["instances"] if len(inst["programs"]) >= 2
+        )["fb_edges"] = rows
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for _ in range(2):
+            code, out, err = run(capsys, "stats", "--dataset", str(bad))
+            assert code == 1, err
+            assert out == ""
+            assert f"malformed dataset file {bad}" in err
+            assert message in err
 
     def test_file_without_instances_exits_1(self, tmp_path, capsys):
         path = tmp_path / "other.json"

@@ -2,11 +2,13 @@
 independent brute-force oracles."""
 
 import contextlib
+import copy
 import enum
 import functools
 import io
 import json
-from dataclasses import fields, make_dataclass
+import pickle
+from dataclasses import FrozenInstanceError, fields, make_dataclass, replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -396,3 +398,78 @@ class TestDecodeRules:
     def test_side_that_is_not_a_string_is_rejected(self, rule, message):
         with pytest.raises(TypeError, match=f"^{message}$"):
             decode_rules([{"find": "x", "replace": "y"}, rule])
+
+    @staticmethod
+    def _two_pass(items):
+        """The reference: every rule's find, then its replace, is looked up
+        and checked, rule by rule, before any rule is built."""
+        for p in items:
+            for key in ("find", "replace"):
+                if type(p[key]) is not str:
+                    raise TypeError(f"rule {key} {p[key]!r} is not a string")
+        return tuple(RewriteRule(p["find"], p["replace"]) for p in items)
+
+    _side = st.one_of(
+        st.none(),  # the key is absent
+        st.text("ab", max_size=2),
+        st.sampled_from([5, None, True, 1.5, ["a"], {"a": "b"}]),
+    )
+
+    @given(st.lists(st.tuples(_side, _side), max_size=5))
+    @settings(max_examples=500)
+    def test_raises_what_the_two_pass_reference_raises(self, sides):
+        """On lists with bad rules anywhere (a missing key, a side of
+        another type), the same exception with the same message; else the
+        same rules."""
+        items = [
+            {key: side for key, side in (("find", find), ("replace", target))
+             if side is not None}
+            for find, target in sides
+        ]
+        try:
+            want = self._two_pass(items)
+        except (KeyError, TypeError) as exc:
+            with pytest.raises(type(exc)) as got:
+                decode_rules(items)
+            assert got.value.args == exc.args
+        else:
+            assert decode_rules(items) == want
+
+
+def _slotted_records():
+    """One of each record declared with ``slots=True``."""
+    from rewritebench.permuter import ReorderInstance
+    from rewritebench.proposer import PbeInstance
+    from rewritebench.relations import RelationEdge
+
+    return [
+        RewriteRule("ab", ""),
+        RelationEdge(2, "B", 0),
+        *[r for r in _records() if isinstance(r, (PbeInstance, ReorderInstance))],
+    ]
+
+
+class TestSlottedRecords:
+    @pytest.mark.parametrize(
+        "record", _slotted_records(), ids=lambda r: type(r).__name__
+    )
+    def test_copies_are_equal_and_frozen(self, record):
+        """A slotted record has no ``__dict__``; pickling, deep copying and
+        ``dataclasses.replace`` each give an equal record, and a field
+        still cannot be set."""
+        assert not hasattr(record, "__dict__")
+        copies = [
+            *(pickle.loads(pickle.dumps(record, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+            copy.deepcopy(record),
+            replace(record),
+        ]
+        name = fields(record)[0].name
+        for other in copies:
+            assert type(other) is type(record)
+            assert other == record and hash(other) == hash(record)
+            with pytest.raises(FrozenInstanceError):
+                setattr(other, name, getattr(record, name))
+        changed = replace(record, **{name: getattr(record, name) * 2})
+        assert getattr(changed, name) == getattr(record, name) * 2
+        assert changed != record

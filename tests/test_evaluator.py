@@ -516,6 +516,19 @@ class TestEvalRecordFromDict:
         with pytest.raises(TypeError, match=f"^{field} .* is not {what}$"):
             EvalRecord.from_dict(data)
 
+    @pytest.mark.parametrize("category", ["11", "1x00", "", "invalid", "00000"])
+    def test_unknown_pred_category_rejected(self, category):
+        data = dict(self._record().to_dict(), pred_category=category)
+        with pytest.raises(
+            ValueError, match=f"^pred_category {category!r} is not a category"
+        ):
+            EvalRecord.from_dict(data)
+
+    @pytest.mark.parametrize("category", ["0000", "1111", INVALID_CATEGORY])
+    def test_every_category_and_invalid_accepted(self, category):
+        data = dict(self._record().to_dict(), pred_category=category)
+        assert EvalRecord.from_dict(data).pred_category == category
+
 
 class TestReorderEvalFromDict:
     @pytest.mark.parametrize("perm", [None, [1, 0]])

@@ -846,6 +846,8 @@ class TestSolverConfig:
             SolverConfig(top_p=0)
         with pytest.raises(ValueError):
             SolverConfig(temperature=-1)
+        with pytest.raises(ValueError, match="^max_tokens must be at least 1$"):
+            SolverConfig.from_dict({"max_tokens": -5})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

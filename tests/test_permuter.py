@@ -387,6 +387,44 @@ class TestBuildPermDataset:
             assert reorder.n_valid_orders is None
             assert reorder.is_unique is False
 
+    def test_perm_calls_the_module_level_functions(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``perm`` looks ``fb_swap`` and ``count_valid_orders`` up on the
+        module for every instance, so wrappers set there (the benchmark's
+        traced per-layer rows among them) see one swap per dataset instance
+        and one count per reorder instance, which raises ``CapacityError``
+        when its orders do not fit under the cap."""
+        from rewritebench import cli, permuter
+
+        dataset = generate_dataset(lite_params(seed=4, D=64, tau=5000))
+        path, out = tmp_path / "ds.json", tmp_path / "perm.json"
+        dataset.save(str(path))
+        seen = {"fb_swap": [], "count_valid_orders": []}
+
+        def recorded(name):
+            real = getattr(permuter, name)
+
+            def wrapper(instance, *args, **kwargs):
+                seen[name].append(instance)
+                return real(instance, *args, **kwargs)
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(permuter, name, recorded(name))
+        # 3! = 6: cascades of up to 3 rules are counted, longer ones not.
+        assert cli.dispatch(
+            ["perm", "--dataset", str(path), "--out", str(out), "--cap", "6"]
+        ) == 0
+        capsys.readouterr()
+        written = load_perm_dataset(str(out))
+        counted = [r for r in written if r.n_valid_orders is not None]
+        assert 0 < len(counted) < len(written) < len(dataset.instances)
+        assert seen["fb_swap"] == dataset.instances
+        assert [r.source_id for r in seen["count_valid_orders"]] == [
+            r.source_id for r in written
+        ]
+
     def test_cap_below_factorial_leaves_counts_absent(self):
         dataset = self._dataset()
         instances = build_perm_dataset(dataset, order_count_cap=1)

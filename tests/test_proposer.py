@@ -368,6 +368,17 @@ class TestGenerateDataset:
         loaded = Dataset.load(str(path))
         assert loaded.to_dict() == ds.to_dict()
 
+    def test_loaded_edges_are_shared(self):
+        """Two loads give equal instances whose equal edges are one
+        object."""
+        data = generate_dataset(tiny_params()).to_dict()["instances"]
+        first = [PbeInstance.from_dict(d) for d in data]
+        second = [PbeInstance.from_dict(d) for d in data]
+        assert first == second
+        edges = [e for inst in first + second for e in inst.fb_edges]
+        assert edges
+        assert len({id(e) for e in edges}) == len(set(edges))
+
     @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
     def test_load_rejects_a_non_finite_number(self, tmp_path, literal):
         path = tmp_path / "ds.json"
