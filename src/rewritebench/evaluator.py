@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -32,6 +33,32 @@ from .relations import ALL_CATEGORIES, category_of
 INVALID_CATEGORY = "INVALID"
 # What an ``EvalRecord`` may hold as its ``pred_category``.
 _PRED_CATEGORIES = frozenset((*ALL_CATEGORIES, INVALID_CATEGORY))
+# The range (low, high) of each numeric field a stored eval may hold.
+# ``edit_sim`` has no low end: a prediction farther from the outputs than
+# the inputs scores below 0.
+_EVAL_RANGES = {
+    "edit_sim": (-math.inf, 1),
+    "valid_rate_contrib": (0, 1),
+    "complexity": (0, math.inf),
+    "attempt_index": (0, math.inf),
+    "pred_length": (0, math.inf),
+}
+_REORDER_EVAL_RANGES = {"attempt_index": (0, math.inf)}
+
+
+def _check_ranges(data: dict, ranges: dict) -> None:
+    """ValueError naming the first field of ``ranges`` whose value in
+    ``data`` lies outside its range. A missing key is left to the record
+    type to reject."""
+    for name, (low, high) in ranges.items():
+        value = data.get(name)
+        if value is None:
+            continue
+        if value < low:
+            raise ValueError(f"{name} {value!r} is below {low}")
+        if value > high:
+            raise ValueError(f"{name} {value!r} is above {high}")
+
 
 # A fenced block: opening fence with optional language tag, body, closing
 # fence. Non-greedy so consecutive blocks split correctly.
@@ -198,9 +225,11 @@ class EvalRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "EvalRecord":
         """The record a ``to_dict`` dict holds; TypeError on a mistyped
-        field, ValueError on a ``pred_category`` that is neither a
-        category string nor INVALID."""
+        field, ValueError on a number outside its range (``_EVAL_RANGES``)
+        or a ``pred_category`` that is neither a category string nor
+        INVALID."""
         check_types(cls, data)
+        _check_ranges(data, _EVAL_RANGES)
         # A missing key is left to ``cls`` to reject.
         category = data.get("pred_category", INVALID_CATEGORY)
         if category not in _PRED_CATEGORIES:
@@ -368,8 +397,10 @@ class ReorderEval:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReorderEval":
-        """The record a ``to_dict`` dict holds; TypeError on a mistyped field."""
+        """The record a ``to_dict`` dict holds; TypeError on a mistyped
+        field, ValueError on a negative ``attempt_index``."""
         check_types(cls, data)
+        _check_ranges(data, _REORDER_EVAL_RANGES)
         return cls(**data)
 
 

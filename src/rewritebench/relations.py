@@ -5,7 +5,8 @@ on the two rules' strings); ``bleeds`` is the same test on the reversed
 first rule. ``oracle_feeds``/``oracle_bleeds`` are independent
 checkers that find a concrete witness string by an exact bounded search
 over a ``str.replace`` transducer, used to cross-validate the symbolic
-classifier.
+classifier. The search is cached by the equality pattern of the strings
+it reads, so pairs spelled with other symbols share it.
 """
 
 from __future__ import annotations
@@ -278,6 +279,31 @@ def _product(
     return tuple(edges), tuple(flush)
 
 
+@lru_cache(maxsize=1024)
+def _search(s: str, t: str, u: str, max_len: int, sign: int) -> Optional[tuple]:
+    """The witness search on canonical strings, whose m symbols are
+    ``chr(0)`` to ``chr(m - 1)`` in order of first appearance in
+    ``s + t + u``, over the classes ``chr(0)`` to ``chr(m)``: class m
+    stands for every other symbol. Returns the product's edges, the rows
+    ``best[0..n]`` and the first length n whose start value is positive,
+    or None when no length up to ``max_len`` has one."""
+    alphabet = tuple(map(chr, range(len(set(s + t + u)) + 1)))
+    edges, flush = _product(s, t, u, alphabet)
+    best = [list(flush) if sign > 0 else [-hits for hits in flush]]
+    for n in range(1, max_len + 1):
+        prev = best[-1]
+        if sign > 0:
+            cur = [max([prev[j] + w for j, w in row]) for row in edges]
+        else:
+            cur = [max([prev[j] - w for j, w in row]) for row in edges]
+        best.append(cur)
+        if cur[0] > 0:
+            return edges, best, n
+        if cur == prev:  # a fixed point: every longer row is the same
+            return None
+    return None
+
+
 def _witness(
     first: RewriteRule, second: RewriteRule, max_len: int, sign: int, caller: str
 ) -> Optional[str]:
@@ -296,48 +322,50 @@ def _witness(
     output); an edge weighs output hits - input hits, and the pending buffer
     is flushed through the output counter at the end.
 
-    Each pattern's KMP table is built once per alphabet and kept
-    (``_kmp_table``, and the ``_rewrite_table`` and ``_count_table`` derived
-    from it). The product carries unsigned weights, so ``oracle_feeds`` and
-    ``oracle_bleeds`` on one pair share it: ``_product`` keeps the last two
-    pairs' products, keyed by the three strings and the alphabet (which
-    also depends on ``second.target``, through the fresh symbol).
-
     ``best[n][i]`` is the largest weight times ``sign`` that n more symbols
     reach from state i, so a witness of length n exists iff
     ``best[n][start] > 0``; the witness is then spelled greedily, smallest
     symbol first. The search is exact: it returns what enumerating every
     string would.
+
+    The search depends only on the equality pattern of ``first.source``,
+    ``first.target`` and ``second.source``, not on the symbols that spell
+    it: their symbols are relabeled by first appearance, and every other
+    symbol of the alphabet (the fresh one, and any found only in
+    ``second.target``) falls in one class, since it sends all three KMP
+    machines to state 0. ``_search`` is cached on the relabeled strings,
+    ``max_len`` and ``sign`` (1,024 entries), and ``_product`` keeps the
+    last two products, which the two signs of one pattern share; each KMP
+    table (``_kmp_table``, and the ``_rewrite_table`` and ``_count_table``
+    derived from it) is built once per relabeled pattern. The spelling
+    walks the pair's own sorted alphabet and reads each symbol's class;
+    every class has a member there, the fresh symbol being one of class m,
+    so the classes' best values are the symbols' and the witness is the
+    one the search over symbols would spell.
     """
     if not second.source:
         raise EmptySourceError(f"{caller}() requires the second rule's find pattern")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    if not first.source:
+    s, t, u = first.source, first.target, second.source
+    if not s:
         return None
-    alphabet = _oracle_alphabet(first, second)
-    edges, flush = _product(first.source, first.target, second.source, alphabet)
-
-    best = [list(flush) if sign > 0 else [-hits for hits in flush]]
-    for n in range(1, max_len + 1):
-        prev = best[-1]
-        if sign > 0:
-            cur = [max([prev[j] + w for j, w in row]) for row in edges]
-        else:
-            cur = [max([prev[j] - w for j, w in row]) for row in edges]
-        best.append(cur)
-        if cur[0] > 0:
-            break
-        if cur == prev:  # a fixed point: every longer row is the same
-            return None
-    else:
+    symbols = "".join(dict.fromkeys(s + t + u))
+    code = {ord(c): i for i, c in enumerate(symbols)}
+    found = _search(
+        s.translate(code), t.translate(code), u.translate(code), max_len, sign
+    )
+    if found is None:
         return None
-
+    edges, best, n = found
+    # ``find`` is -1 for a symbol outside ``symbols``: the last column, class m.
+    spelled = [(c, symbols.find(c)) for c in _oracle_alphabet(first, second)]
     out: list[str] = []
     i, gained = 0, 0
     for left in range(n - 1, -1, -1):
-        tail = best[left]
-        for c, (j, w) in zip(alphabet, edges[i]):
+        tail, row = best[left], edges[i]
+        for c, k in spelled:
+            j, w = row[k]
             if gained + sign * w + tail[j] > 0:
                 out.append(c)
                 i, gained = j, gained + sign * w

@@ -847,11 +847,15 @@ class TestSolveEvalReport:
         ("edit_sim", "x"), ("valid_rate_contrib", True), ("pred_length", [1]),
         ("complexity", 1.5), ("passed", 1), ("pred_category", None),
         ("pred_category", "11"), ("pred_category", "1x00"),
-        ("pred_category", ""),
+        ("pred_category", ""), ("pred_length", -7), ("valid_rate_contrib", 5.0),
+        ("valid_rate_contrib", -0.5), ("edit_sim", 3.5), ("complexity", -4),
+        ("attempt_index", -1),
     ])
     def test_eval_field_of_the_wrong_type_exits_1(
         self, datasets, tmp_path, capsys, command, field, value
     ):
+        """A mistyped eval field, or a number no scoring can give, is a
+        malformed attempt, not a value to aggregate."""
         mock = tmp_path / "mock.json"
         mock.write_text(json.dumps(["no answer"]))
         attempts = tmp_path / "att.jsonl"
@@ -872,6 +876,28 @@ class TestSolveEvalReport:
         assert f"attempts file {attempts}" in err
         assert logs[1]["instance_id"] in err
         assert field in err
+
+    def test_negative_edit_sim_loads(self, datasets, tmp_path, capsys):
+        """A prediction farther from the outputs than the inputs scores
+        below 0, so a negative ``edit_sim`` is replayed as stored."""
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(["no answer"]))
+        attempts = tmp_path / "att.jsonl"
+        code, _, err = run(
+            capsys, "solve", "--dataset", str(datasets["eval"]),
+            "--out", str(attempts), "--mock", str(mock),
+        )
+        assert code == 0, err
+        logs = [json.loads(line) for line in attempts.read_text().splitlines()]
+        for log in logs:
+            log["eval"]["edit_sim"] = -2.5
+        attempts.write_text("".join(json.dumps(lg) + "\n" for lg in logs))
+        code, out, err = run(
+            capsys, "eval", "--dataset", str(datasets["eval"]),
+            "--attempts", str(attempts),
+        )
+        assert code == 0, err
+        assert json.loads(out)["metrics"]["edit_sim"] == -2.5
 
     @pytest.mark.parametrize("command, solve, field, value", [
         ("report", "solve", "edit_sim", "x"),
@@ -910,6 +936,7 @@ class TestSolveEvalReport:
 
     @pytest.mark.parametrize("field, value", [
         ("perm", "x"), ("perm", [0.5]), ("perm", [True]), ("attempt_index", "0"),
+        ("attempt_index", -1),
     ])
     def test_reorder_eval_field_of_the_wrong_type_exits_1(
         self, datasets, tmp_path, capsys, field, value
@@ -1550,6 +1577,10 @@ class TestVerifyRelations:
                 assert d["witness"] is None
 
     @pytest.mark.parametrize("flags, digest", [
+        pytest.param(
+            ["--pairs", "10000", "--seed", "0"],
+            "ccd2d624b9749f20252011d2da44b5d7d8c4552b3aa13910dfc99d79f5d57a0e",
+            id="10000-pairs-seed-0"),
         pytest.param(
             ["--pairs", "300", "--seed", "0"],
             "c69d0b1f85ced8ecc2395e0de57a974707bde53e3bf4e975d6759eb277d96724",

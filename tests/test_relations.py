@@ -28,10 +28,14 @@ from rewritebench.relations import (
     oracle_bleeds,
     oracle_feeds,
     _FRESH_POOL,
+    _count_table,
     _fresh_symbol,
     _kmp_table,
     _oracle_alphabet,
     _product,
+    _reachable,
+    _rewrite_table,
+    _search,
 )
 
 rules = st.builds(
@@ -378,9 +382,10 @@ def test_oracles_match_enumeration_on_longer_sides(case):
 def test_oracles_share_products_only_within_an_alphabet():
     """Pairs A and B differ only in the second rule's target, which changes
     the oracle alphabet (``0`` sorts before the letters and shifts every
-    symbol index), so a product shared between them answers wrongly. Calls
-    alternate between the pairs and between the oracles, and pair C asks
-    for bleeding before feeding."""
+    symbol index). They share one search over the canonical classes, so
+    each must be spelled over its own alphabet. Calls alternate between
+    the pairs and between the oracles, and pair C asks for bleeding before
+    feeding."""
     a = (R("ab", "ba"), R("ab", ""))
     b = (R("ab", "ba"), R("ab", "0"))
     c = (R("ba", "ab"), R("ab", "a"))
@@ -392,6 +397,80 @@ def test_oracles_share_products_only_within_an_alphabet():
     ]
     for oracle, (p, q), direction in calls:
         assert oracle(p, q, 5) == enumerate_witness(p, q, 5, direction), (oracle, p, q)
+
+
+def test_oracles_answer_by_equality_pattern():
+    """Pairs that share an equality pattern of (p.source, p.target,
+    q.source), and so one cached search, but differ in symbol order and in
+    alphabet: ``0`` in q.target sorts before the letters, and a q.target
+    holding the whole pool makes the fresh symbol ``chr(0)``. Calls
+    alternate between the patterns, the pairs and the oracles, with the
+    caches left warm. The shortest feeding witnesses of ``a→b`` on ``bb``
+    are ``aa`` and ``ab``, so which comes first depends on the order of
+    the symbols, not on the pattern alone."""
+    past_pool = (R("ab", "ba"), R("ab", _FRESH_POOL))
+    assert _oracle_alphabet(*past_pool)[0] == chr(0)
+    cases = [
+        ((R("ab", "ba"), R("ab", "")), 5),
+        ((R("ba", "ab"), R("ab", "a")), 5),
+        ((R("ba", "ab"), R("ba", "")), 5),
+        ((R("ab", "ba"), R("ba", "b")), 5),
+        ((R("ab", "ba"), R("ab", "0")), 5),
+        ((R("ba", "ab"), R("ab", "0")), 5),
+        ((R("ba", "ab"), R("ba", "0")), 5),
+        (past_pool, 2),
+        ((R("a", "b"), R("bb", "")), 4),
+        ((R("ab", "ba"), R("ab", "")), 2),
+        ((R("b", "a"), R("aa", "")), 4),
+        ((R("ab", ""), R("ba", "")), 4),
+        ((R("b", "a"), R("aa", "0")), 4),
+        ((R("ba", ""), R("ab", "c")), 4),
+        ((R("a", "b"), R("bb", "0")), 4),
+    ]
+    for k, ((p, q), bound) in enumerate(cases):
+        calls = [(oracle_feeds, 1), (oracle_bleeds, -1)]
+        for oracle, direction in calls[:: 1 if k % 2 else -1]:
+            assert oracle(p, q, bound) == enumerate_witness(p, q, bound, direction), (
+                oracle, p, q, bound)
+
+
+@st.composite
+def relabeled_twins(draw):
+    """An oracle case and its twin under a random injective map of its
+    symbols, which may send them below the letters (``0``, ``Z``), and an
+    order in which to ask for the four answers."""
+    p, q, bound = draw(oracle_cases())
+    used = sorted(set(p.source + p.target + q.source + q.target))
+    image = draw(st.permutations("abcdeZ0"))
+    relabel = dict(zip(used, image))
+
+    def twin(rule):
+        return RewriteRule(
+            "".join(map(relabel.get, rule.source)),
+            "".join(map(relabel.get, rule.target)),
+        )
+
+    calls = [
+        (pair, oracle, direction)
+        for pair in ((p, q), (twin(p), twin(q)))
+        for oracle, direction in ((oracle_feeds, 1), (oracle_bleeds, -1))
+    ]
+    return draw(st.permutations(calls)), bound
+
+
+@given(relabeled_twins())
+@settings(max_examples=100, deadline=None)
+def test_relabeled_twins_match_enumeration(case):
+    calls, bound = case
+    for (p, q), oracle, direction in calls:
+        assert oracle(p, q, bound) == enumerate_witness(p, q, bound, direction)
+
+
+@pytest.mark.parametrize("cache", [
+    _reachable, _kmp_table, _rewrite_table, _count_table, _product, _search,
+])
+def test_relation_caches_are_bounded(cache):
+    assert cache.cache_parameters()["maxsize"] is not None
 
 
 def _random_rule(rng):
@@ -425,3 +504,17 @@ def test_oracles_match_enumeration_on_criterion_1_corpus():
         bound = default_oracle_bound(p, q)
         assert oracle_feeds(p, q, bound) == enumerate_witness(p, q, bound, 1)
         assert oracle_bleeds(p, q, bound) == enumerate_witness(p, q, bound, -1)
+
+
+def test_criterion_1_corpus_searches_once_per_pattern():
+    """The search is cached on the equality pattern, not the symbols:
+    criterion 1's 10,000 pairs make 584 searches (pattern, bound and
+    sign), so a change that drops the reduction shows here."""
+    _search.cache_clear()
+    rng = random.Random(0)
+    for _ in range(10_000):
+        p, q = _random_rule(rng), _random_rule(rng)
+        bound = default_oracle_bound(p, q)
+        oracle_feeds(p, q, bound)
+        oracle_bleeds(p, q, bound)
+    assert _search.cache_info().misses <= 600
