@@ -197,15 +197,15 @@ def _scored(args) -> tuple:
     From ``--attempts``: the selected attempt of each instance that has
     one, skipping a selection with no eval; an eval that the task's record
     type does not take (a missing or unknown key, a mistyped field, a PBE
-    ``pred_category`` that is no category), or a mistyped field that
-    selection reads in any attempt, is an error. The
-    log is read one line at a time, and only the best-ranked attempt of
-    each instance so far is kept, so memory grows with the instances, not
-    the budget. A corrupt line anywhere wins over the other errors, which
-    come in dataset order. From ``--predictions`` (an object mapping
-    instance id to response text, null meaning no response): every
-    instance, scored by the task; the file must name at least one
-    instance of the dataset.
+    ``pred_category`` that is no category) or whose ``attempt_index`` is
+    not its log's, or a mistyped field that selection reads in any
+    attempt, is an error. The log is read one line at a time, and only the
+    best-ranked attempt of each instance so far is kept, so memory grows
+    with the instances, not the budget. A corrupt line anywhere wins over
+    the other errors, which come in dataset order. From ``--predictions``
+    (an object mapping instance id to response text, null meaning no
+    response): every instance, scored by the task; the file must name at
+    least one instance of the dataset.
     """
     from .gateway import attempt_rank, iter_attempts
 
@@ -237,7 +237,14 @@ def _scored(args) -> tuple:
                 held = best[inst_id]
                 if held is None or held[1].eval is None:
                     continue
-                pairs.append((inst, task.record.from_dict(held[1].eval)))
+                log = held[1]
+                record = task.record.from_dict(log.eval)
+                if record.attempt_index != log.attempt_index:
+                    raise ValueError(
+                        f"eval attempt_index {record.attempt_index} is not "
+                        f"the log's {log.attempt_index}"
+                    )
+                pairs.append((inst, record))
             except (TypeError, ValueError) as exc:
                 raise CliError(
                     f"attempts file {args.attempts} holds a malformed attempt "

@@ -84,21 +84,13 @@ _PLAIN_RE = re.compile(_PLAIN)
 _PLAIN_LIST_RE = re.compile(rf"\[[ \t\n]*(?:{_PLAIN}[ \t\n]*(?:,[ \t\n]*|(?=\])))*\]")
 # A rule string that _RULE_RE matches with two plain literals, capturing the
 # body of each: group 1 or 2 the find pattern, 3 or 4 the replacement, by
-# quote kind. _RULE_RE then finds the same two tokens and _literal returns
-# these bodies, so reading them directly gives the same rule.
+# quote kind. _RULE_RE then finds the same two tokens and ast.literal_eval
+# returns these bodies, so reading them directly gives the same rule.
 _PLAIN_ARG = rf"""(?:'({_SINGLE_BODY})'|"({_DOUBLE_BODY})")"""
 _PLAIN_RULE_RE = re.compile(rf"\s*replace\s*\(\s*{_PLAIN_ARG}\s*,\s*{_PLAIN_ARG}\s*\)\s*")
 # What ast.literal_eval raises on input it cannot read, deeply nested input
 # included.
 _LITERAL_ERRORS = (ValueError, TypeError, SyntaxError, MemoryError, RecursionError)
-
-
-def _literal(token: str):
-    """``ast.literal_eval(token)``, read directly when it is a plain string
-    literal."""
-    if _PLAIN_RE.fullmatch(token):
-        return token[1:-1]
-    return ast.literal_eval(token)
 
 
 def _list_literal(candidate: str):
@@ -122,8 +114,8 @@ def parse_rule_string(text: str) -> Optional[RewriteRule]:
     if not m:
         return None
     try:
-        source = _literal(m.group(1))
-        target = _literal(m.group(2))
+        source = ast.literal_eval(m.group(1))
+        target = ast.literal_eval(m.group(2))
     except _LITERAL_ERRORS:
         return None
     if not isinstance(source, str) or not isinstance(target, str):

@@ -422,8 +422,12 @@ class AttemptLog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AttemptLog":
-        """The log a ``to_dict`` record holds; TypeError on a mistyped field."""
+        """The log a ``to_dict`` record holds; TypeError on a mistyped field,
+        ValueError on a negative ``attempt_index``."""
         check_types(cls, data)
+        index = data.get("attempt_index", 0)
+        if index < 0:
+            raise ValueError(f"attempt_index {index!r} is below 0")
         return cls(**data)
 
 
@@ -434,13 +438,12 @@ def prompt_hash(prompt: str) -> str:
 @dataclass(frozen=True)
 class PbeTask:
     """Cascade induction under a PBE dataset's limits. ``record`` types an
-    attempt log's eval; ``rank_type`` names and types ``fail_rank``'s value."""
+    attempt log's eval."""
 
     s_max: int = 3
     L_max: int = 5
     identity_symbol: str = "a"
     record = evaluator.EvalRecord
-    rank_type = ("edit_sim", (int, float), "a number")
 
     def instance_id(self, instance: PbeInstance) -> str:
         return instance.id
@@ -460,8 +463,14 @@ class PbeTask:
         return record, normalized is not None
 
     def fail_rank(self, log: AttemptLog) -> float:
-        """The edit similarity, or below every score for a log with no eval."""
-        return (log.eval or {}).get("edit_sim", -math.inf)
+        """The edit similarity, or below every score for a log with no eval;
+        TypeError when it is not a number."""
+        score = (log.eval or {}).get("edit_sim", -math.inf)
+        if type(score) not in (int, float):
+            raise TypeError(
+                f"attempt {log.attempt_index}: edit_sim {score!r} is not a number"
+            )
+        return score
 
     def aggregate(self, pairs: Sequence[tuple]) -> evaluator.AggregateMetrics:
         return evaluator.aggregate_pbe([record for _, record in pairs])
@@ -472,7 +481,6 @@ class ReorderTask:
     """Order recovery: put a reorder instance's rules back in order."""
 
     record = evaluator.ReorderEval
-    rank_type = ("extracted", (bool,), "a boolean")
 
     def instance_id(self, instance: ReorderInstance) -> str:
         return instance.source_id
@@ -561,20 +569,16 @@ def attempt_rank(log: AttemptLog, task: Task) -> tuple:
 
     Passing beats failing; then the lowest index among passes, the best
     ``task.fail_rank`` among failures, and the lowest index among equals.
-    A ``passed`` or a rank of the wrong type raises TypeError naming the
-    attempt and the field.
+    A ``passed`` of the wrong type raises TypeError naming the attempt and
+    the field, as ``PbeTask.fail_rank`` does for an ``edit_sim`` that is not
+    a number.
     """
-    name, types, what = task.rank_type
     passed = (log.eval or {}).get("passed", False)
-    score = task.fail_rank(log)
     if type(passed) is not bool:
         raise TypeError(
             f"attempt {log.attempt_index}: passed {passed!r} is not a boolean"
         )
-    if type(score) not in types:
-        raise TypeError(
-            f"attempt {log.attempt_index}: {name} {score!r} is not {what}"
-        )
+    score = task.fail_rank(log)
     return (passed, 0 if passed else score, -log.attempt_index)
 
 

@@ -194,8 +194,7 @@ def _oracle_alphabet(first: RewriteRule, second: RewriteRule) -> tuple[str, ...]
     return tuple(sorted(used))
 
 
-@lru_cache(maxsize=1024)
-def _kmp_table(pattern: str, alphabet: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+def _kmp_table(pattern: str, alphabet: tuple[str, ...]) -> list[list[int]]:
     """The KMP automaton of ``pattern`` over ``alphabet``: per state
     k < len(pattern) and symbol index, the length of the longest suffix of
     ``pattern[:k] + symbol`` that is a prefix of ``pattern``. Row k is row
@@ -209,49 +208,34 @@ def _kmp_table(pattern: str, alphabet: tuple[str, ...]) -> tuple[tuple[int, ...]
         row[c] = k + 1
         rows.append(row)
         border = rows[border][c]
-    return tuple(map(tuple, rows))
-
-
-@lru_cache(maxsize=1024)
-def _rewrite_table(s: str, t: str, alphabet: tuple[str, ...]) -> tuple[tuple, tuple]:
-    """``str.replace(s, t)`` as a transducer over symbol indices: per state
-    k < len(s) and symbol, the next state and the symbols emitted; and per
-    state, the pending buffer ``s[:k]`` flushed at the end of the input."""
-    code = {c: i for i, c in enumerate(alphabet)}
-    s_ix = tuple(code[c] for c in s)
-    t_ix = tuple(code[c] for c in t)
-    steps = tuple(
-        tuple(
-            (0, t_ix) if j == len(s) else (j, (s_ix[:k] + (c,))[: k + 1 - j])
-            for c, j in enumerate(row)
-        )
-        for k, row in enumerate(_kmp_table(s, alphabet))
-    )
-    return steps, tuple(s_ix[:k] for k in range(len(s)))
-
-
-@lru_cache(maxsize=1024)
-def _count_table(
-    u: str, alphabet: tuple[str, ...]
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """``str.count(u)`` as a KMP counter that resets on every hit: per state
-    k < len(u) and symbol index, the next state and the hits (0 or 1)."""
-    return tuple(
-        tuple((0, 1) if j == len(u) else (j, 0) for j in row)
-        for row in _kmp_table(u, alphabet)
-    )
+    return rows
 
 
 @lru_cache(maxsize=2)
 def _product(
-    s: str, t: str, u: str, alphabet: tuple[str, ...]
+    s: str, t: str, u: str
 ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
     """The product of the rewrite transducer and the counters on its input
-    and output, reachable states only, state 0 the start: per state, a row
-    of (successor, output hits - input hits) per symbol, and the hits that
-    flushing the pending buffer adds on the output."""
-    steps, pending = _rewrite_table(s, t, alphabet)
-    count = _count_table(u, alphabet)
+    and output (see ``_witness``) for the canonical strings of ``_search``,
+    over its m + 1 classes, reachable states only, state 0 the start: per
+    state, a row of (successor, output hits - input hits) per symbol, and
+    the hits that flushing the pending buffer adds on the output. From
+    transducer state k, a symbol c that takes the KMP state of ``s`` to j
+    emits the first k + 1 - j symbols of ``s[:k] + c``, or ``t`` when j
+    completes a match."""
+    alphabet = tuple(map(chr, range(len(set(s + t + u)) + 1)))
+    s_ix, t_ix = tuple(map(ord, s)), tuple(map(ord, t))
+    steps = [
+        [
+            (0, t_ix) if j == len(s) else (j, (s_ix[:k] + (c,))[: k + 1 - j])
+            for c, j in enumerate(row)
+        ]
+        for k, row in enumerate(_kmp_table(s, alphabet))
+    ]
+    count = [
+        [(0, 1) if j == len(u) else (j, 0) for j in row]
+        for row in _kmp_table(u, alphabet)
+    ]
 
     def run(k: int, symbols: tuple[int, ...]) -> tuple[int, int]:
         hits = 0
@@ -275,7 +259,7 @@ def _product(
                 states.append(nxt)
             row.append((j, hits_out - hits_in))
         edges.append(tuple(row))
-        flush.append(run(k_out, pending[k])[1])
+        flush.append(run(k_out, s_ix[:k])[1])
     return tuple(edges), tuple(flush)
 
 
@@ -287,8 +271,7 @@ def _search(s: str, t: str, u: str, max_len: int, sign: int) -> Optional[tuple]:
     stands for every other symbol. Returns the product's edges, the rows
     ``best[0..n]`` and the first length n whose start value is positive,
     or None when no length up to ``max_len`` has one."""
-    alphabet = tuple(map(chr, range(len(set(s + t + u)) + 1)))
-    edges, flush = _product(s, t, u, alphabet)
+    edges, flush = _product(s, t, u)
     best = [list(flush) if sign > 0 else [-hits for hits in flush]]
     for n in range(1, max_len + 1):
         prev = best[-1]
@@ -335,13 +318,11 @@ def _witness(
     ``second.target``) falls in one class, since it sends all three KMP
     machines to state 0. ``_search`` is cached on the relabeled strings,
     ``max_len`` and ``sign`` (1,024 entries), and ``_product`` keeps the
-    last two products, which the two signs of one pattern share; each KMP
-    table (``_kmp_table``, and the ``_rewrite_table`` and ``_count_table``
-    derived from it) is built once per relabeled pattern. The spelling
-    walks the pair's own sorted alphabet and reads each symbol's class;
-    every class has a member there, the fresh symbol being one of class m,
-    so the classes' best values are the symbols' and the witness is the
-    one the search over symbols would spell.
+    last two products, which the two signs of one pattern share. The
+    spelling walks the pair's own sorted alphabet and reads each symbol's
+    class; every class has a member there, the fresh symbol being one of
+    class m, so the classes' best values are the symbols' and the witness
+    is the one the search over symbols would spell.
     """
     if not second.source:
         raise EmptySourceError(f"{caller}() requires the second rule's find pattern")

@@ -817,7 +817,7 @@ class TestSolveEvalReport:
         ("eval", [1]), ("eval", "x"), ("eval", 3), ("attempt_index", "0"),
         ("attempt_index", True), ("instance_id", 5), ("extracted", "no"),
         ("raw_text", 5), ("finish_reason", None), ("token_usage", []),
-        ("prompt_hash", 1),
+        ("prompt_hash", 1), ("attempt_index", -5),
     ])
     def test_attempt_field_of_the_wrong_type_exits_1(
         self, datasets, tmp_path, capsys, field, value
@@ -849,7 +849,7 @@ class TestSolveEvalReport:
         ("pred_category", "11"), ("pred_category", "1x00"),
         ("pred_category", ""), ("pred_length", -7), ("valid_rate_contrib", 5.0),
         ("valid_rate_contrib", -0.5), ("edit_sim", 3.5), ("complexity", -4),
-        ("attempt_index", -1),
+        ("attempt_index", -1), ("attempt_index", 3),
     ])
     def test_eval_field_of_the_wrong_type_exits_1(
         self, datasets, tmp_path, capsys, command, field, value

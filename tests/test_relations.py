@@ -16,6 +16,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rewritebench import relations
 from rewritebench.core import EmptySourceError, RewriteRule, apply_rule, string_sets
 from rewritebench.relations import (
     ALL_CATEGORIES,
@@ -28,13 +29,10 @@ from rewritebench.relations import (
     oracle_bleeds,
     oracle_feeds,
     _FRESH_POOL,
-    _count_table,
     _fresh_symbol,
     _kmp_table,
     _oracle_alphabet,
     _product,
-    _reachable,
-    _rewrite_table,
     _search,
 )
 
@@ -353,6 +351,36 @@ def test_kmp_table_matches_its_definition():
 
 
 @st.composite
+def canonical_triples(draw):
+    """(s, t, u) as ``_search`` receives them: sides over three letters,
+    relabeled to ``chr(0)``, ``chr(1)``, ... by first appearance."""
+    s = draw(st.text(alphabet="abc", min_size=1, max_size=3))
+    t = draw(st.text(alphabet="abc", max_size=3))
+    u = draw(st.text(alphabet="abc", min_size=1, max_size=3))
+    code = {ord(c): i for i, c in enumerate(dict.fromkeys(s + t + u))}
+    return s.translate(code), t.translate(code), u.translate(code)
+
+
+@given(canonical_triples())
+@settings(max_examples=100, deadline=None)
+def test_product_matches_its_definition(triple):
+    """Along every string w of up to 5 symbols over the classes, the edge
+    weights and then the flush of the state reached sum to
+    ``w.replace(s, t).count(u) - w.count(u)``."""
+    s, t, u = triple
+    edges, flush = _product(s, t, u)
+    classes = [chr(c) for c in range(len(set(s + t + u)) + 1)]
+    for n in range(6):
+        for w in map("".join, itertools.product(classes, repeat=n)):
+            state, total = 0, 0
+            for c in w:
+                state, weight = edges[state][ord(c)]
+                total += weight
+            assert total + flush[state] == w.replace(s, t).count(u) - w.count(u), (
+                triple, w)
+
+
+@st.composite
 def long_oracle_cases(draw):
     """Sides of 4-6 symbols over two or three letters: patterns with nested
     borders (``abab``, ``aabaa``), where a wrongly built KMP table shows.
@@ -466,11 +494,13 @@ def test_relabeled_twins_match_enumeration(case):
         assert oracle(p, q, bound) == enumerate_witness(p, q, bound, direction)
 
 
-@pytest.mark.parametrize("cache", [
-    _reachable, _kmp_table, _rewrite_table, _count_table, _product, _search,
-])
-def test_relation_caches_are_bounded(cache):
-    assert cache.cache_parameters()["maxsize"] is not None
+@pytest.mark.parametrize("name", sorted(
+    name for name, value in vars(relations).items()
+    if hasattr(value, "cache_parameters")
+))
+def test_relation_caches_are_bounded(name):
+    """Every cache the module holds, found by its ``cache_parameters``."""
+    assert getattr(relations, name).cache_parameters()["maxsize"] is not None
 
 
 def _random_rule(rng):
